@@ -9,14 +9,16 @@ DictionaryHandle::DictionaryHandle(ShardedDictionary initial)
 
 std::uint64_t DictionaryHandle::swap(ShardedDictionary next) {
   // Writers serialize (swaps are rare — a retrain cadence, not a hot
-  // path) so versions are dense and monotone; the successor is published
-  // with a release store so any reader that sees the pointer sees the
-  // fully built dictionary.
+  // path) so versions are dense and monotone. The successor (and its
+  // probe index) is built before current_mutex_ is taken, so readers
+  // never wait on a compile.
   std::lock_guard lock(writer_mutex_);
-  const std::uint64_t version =
-      current_.load(std::memory_order_relaxed)->version + 1;
-  current_.store(std::make_shared<Epoch>(version, std::move(next)),
-                 std::memory_order_release);
+  const std::uint64_t version = acquire()->version + 1;
+  auto epoch = std::make_shared<Epoch>(version, std::move(next));
+  {
+    std::lock_guard publish(current_mutex_);
+    current_.swap(epoch);
+  }
   version_.store(version, std::memory_order_release);
   swaps_.fetch_add(1, std::memory_order_relaxed);
   return version;
@@ -26,7 +28,10 @@ void DictionaryHandle::reset(std::shared_ptr<Epoch> epoch,
                              std::uint64_t swap_count) {
   std::lock_guard lock(writer_mutex_);
   const std::uint64_t version = epoch->version;
-  current_.store(std::move(epoch), std::memory_order_release);
+  {
+    std::lock_guard publish(current_mutex_);
+    current_.swap(epoch);
+  }
   version_.store(version, std::memory_order_release);
   swaps_.store(swap_count, std::memory_order_relaxed);
 }

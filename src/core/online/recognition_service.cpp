@@ -1,17 +1,14 @@
 #include "core/online/recognition_service.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace efd::core {
-
-thread_local RecognitionService::Worker* RecognitionService::tl_worker_ =
-    nullptr;
 
 const char* backpressure_policy_name(BackpressurePolicy policy) {
   switch (policy) {
@@ -33,171 +30,10 @@ std::optional<BackpressurePolicy> parse_backpressure_policy(
 RecognitionService::RecognitionService(ShardedDictionary dictionary,
                                        RecognitionServiceConfig config)
     : handle_(std::move(dictionary)), config_(config) {
+  if (config_.worker_count != 0) {
+    throw std::invalid_argument("RecognitionService: worker_count must be 0");
+  }
   if (config_.job_queue_capacity == 0) config_.job_queue_capacity = 1;
-  if (config_.worker_count > 0) {
-    // Workers ARE the drain side: a push that scored inline would race
-    // the owning worker for the recognizer, so worker mode is always
-    // deferred.
-    config_.deferred = true;
-    start_workers(config_.worker_count);
-  }
-}
-
-RecognitionService::~RecognitionService() { stop_workers(); }
-
-void RecognitionService::start_workers(std::size_t count) {
-  constexpr std::size_t kRingCapacity = 4096;  // power of two
-  workers_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    auto worker = std::make_unique<Worker>(kRingCapacity);
-    worker->owner = this;
-    workers_.push_back(std::move(worker));
-  }
-  // Threads start only after workers_ is final (worker_loop and
-  // schedule_stream index into it).
-  for (auto& worker : workers_) {
-    worker->thread = std::thread([this, w = worker.get()] { worker_loop(*w); });
-  }
-}
-
-void RecognitionService::stop_workers() {
-  if (workers_.empty()) return;
-  stop_workers_.store(true, std::memory_order_release);
-  {
-    // Unpark anyone at the quiesce barrier (a snapshot racing teardown).
-    std::lock_guard lock(pause_mutex_);
-    paused_.store(false, std::memory_order_relaxed);
-  }
-  pause_cv_.notify_all();
-  for (auto& worker : workers_) {
-    // Empty critical section: a worker between its predicate check and
-    // its wait would otherwise miss this notify and sleep forever.
-    { std::lock_guard lock(worker->producer_mutex); }
-    worker->work_cv.notify_all();
-  }
-  for (auto& worker : workers_) {
-    if (worker->thread.joinable()) worker->thread.join();
-  }
-}
-
-std::uint32_t RecognitionService::assign_worker(
-    std::uint64_t job_id) const noexcept {
-  if (workers_.empty()) return 0;
-  // splitmix64 finalizer: job ids are often sequential, and a plain
-  // modulo would put every id on worker id%N forever — fine — but also
-  // correlate with any id-structured load. The mix spreads them evenly.
-  std::uint64_t x = job_id + 0x9E3779B97F4A7C15ull;
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return static_cast<std::uint32_t>(x % workers_.size());
-}
-
-void RecognitionService::schedule_stream(
-    const std::shared_ptr<JobStream>& stream) {
-  if (workers_.empty()) return;
-  // Dedup: one ring slot per dirty stream, however many pushes landed.
-  // The worker clears the flag before draining, so a push that arrives
-  // mid-drain re-rings and is never lost.
-  if (stream->scheduled.exchange(true, std::memory_order_acq_rel)) return;
-  Worker& worker = *workers_[stream->worker_index];
-  {
-    std::lock_guard lock(worker.producer_mutex);
-    const std::uint64_t tail = worker.tail.load(std::memory_order_relaxed);
-    if (tail - worker.head.load(std::memory_order_acquire) <
-        worker.ring.size()) {
-      worker.ring[tail & worker.mask] = stream;
-      worker.tail.store(tail + 1, std::memory_order_release);
-    } else {
-      // Degenerate: more scheduled streams than ring slots. Spill
-      // rather than block — callers hold stream mutexes.
-      worker.overflow.push_back(stream);
-    }
-  }
-  worker.work_cv.notify_one();
-}
-
-std::shared_ptr<RecognitionService::JobStream> RecognitionService::try_pop(
-    Worker& worker) {
-  const std::uint64_t head = worker.head.load(std::memory_order_relaxed);
-  if (head != worker.tail.load(std::memory_order_acquire)) {
-    std::shared_ptr<JobStream> stream =
-        std::move(worker.ring[head & worker.mask]);
-    worker.head.store(head + 1, std::memory_order_release);
-    return stream;
-  }
-  std::lock_guard lock(worker.producer_mutex);
-  if (worker.overflow.empty()) return nullptr;
-  std::shared_ptr<JobStream> stream = std::move(worker.overflow.front());
-  worker.overflow.erase(worker.overflow.begin());
-  return stream;
-}
-
-void RecognitionService::worker_loop(Worker& worker) {
-  tl_worker_ = &worker;
-  while (!stop_workers_.load(std::memory_order_acquire)) {
-    if (paused_.load(std::memory_order_acquire)) {
-      // Quiesce barrier: park between drains until the guard releases.
-      std::unique_lock lock(pause_mutex_);
-      ++quiesced_;
-      pause_cv_.notify_all();
-      pause_cv_.wait(lock, [&] {
-        return !paused_.load(std::memory_order_relaxed) ||
-               stop_workers_.load(std::memory_order_relaxed);
-      });
-      --quiesced_;
-      continue;
-    }
-    std::shared_ptr<JobStream> stream = try_pop(worker);
-    if (stream == nullptr) {
-      std::unique_lock lock(worker.producer_mutex);
-      worker.work_cv.wait(lock, [&] {
-        return worker.head.load(std::memory_order_relaxed) !=
-                   worker.tail.load(std::memory_order_relaxed) ||
-               !worker.overflow.empty() ||
-               stop_workers_.load(std::memory_order_relaxed) ||
-               paused_.load(std::memory_order_relaxed);
-      });
-      continue;
-    }
-    // Clear BEFORE draining: a producer enqueueing after this point
-    // re-rings the stream, so its samples are picked up next round.
-    stream->scheduled.store(false, std::memory_order_release);
-    std::unique_lock lock(stream->mutex);
-    drain_stream(*stream, lock);
-  }
-  tl_worker_ = nullptr;
-}
-
-RecognitionService::WorkerQuiesceGuard::WorkerQuiesceGuard(
-    const RecognitionService& service)
-    : service_(service) {
-  if (service_.workers_.empty()) return;
-  service_.quiesce_mutex_.lock();  // one quiescer at a time
-  {
-    std::lock_guard lock(service_.pause_mutex_);
-    service_.paused_.store(true, std::memory_order_release);
-  }
-  for (const auto& worker : service_.workers_) {
-    { std::lock_guard lock(worker->producer_mutex); }
-    worker->work_cv.notify_all();
-  }
-  std::unique_lock lock(service_.pause_mutex_);
-  service_.pause_cv_.wait(lock, [&] {
-    return service_.quiesced_ == service_.workers_.size();
-  });
-}
-
-RecognitionService::WorkerQuiesceGuard::~WorkerQuiesceGuard() {
-  if (service_.workers_.empty()) return;
-  {
-    std::lock_guard lock(service_.pause_mutex_);
-    service_.paused_.store(false, std::memory_order_release);
-  }
-  service_.pause_cv_.notify_all();
-  service_.quiesce_mutex_.unlock();
 }
 
 const ShardedDictionary& RecognitionService::dictionary() const {
@@ -256,7 +92,6 @@ bool RecognitionService::open_job(std::uint64_t job_id,
   auto stream =
       std::make_shared<JobStream>(handle_.acquire(), job_id, node_count);
   stream->last_activity_ns.store(now_ns(), std::memory_order_relaxed);
-  stream->worker_index = assign_worker(job_id);
   SourceIngress* ingress = ingress_for(source_tag);
   stream->ingress = ingress;
   {
@@ -281,11 +116,10 @@ std::shared_ptr<RecognitionService::JobStream> RecognitionService::find_stream(
   return it != jobs_.end() ? it->second : nullptr;
 }
 
-bool RecognitionService::enqueue_locked(
-    const std::shared_ptr<JobStream>& stream_ptr,
-    std::unique_lock<std::mutex>& lock, const SamplePush& sample,
-    std::int64_t enqueue_ns) {
-  JobStream& stream = *stream_ptr;
+bool RecognitionService::enqueue_locked(JobStream& stream,
+                                        std::unique_lock<std::mutex>& lock,
+                                        const SamplePush& sample,
+                                        std::int64_t enqueue_ns) {
   if (stream.done.load(std::memory_order_relaxed)) {
     // The verdict already fired; the stream lingers until the next
     // drain. Counted separately from drops — a job streaming past its
@@ -318,45 +152,34 @@ bool RecognitionService::enqueue_locked(
         samples_overflowed_.fetch_add(1, std::memory_order_relaxed);
         break;
       case BackpressurePolicy::kBlock:
-        if (!workers_.empty()) {
-          // Worker mode: never self-drain — the owning worker is the
-          // sole scorer. Ring it (idempotent), then wait for space; the
-          // cv wait releases the stream mutex, so the worker drains
-          // independently and the wait terminates.
-          schedule_stream(stream_ptr);
-          pushes_blocked_.fetch_add(1, std::memory_order_relaxed);
-          stream.space.wait(lock, [&] {
-            return stream.queue.size() < config_.job_queue_capacity ||
-                   stream.done.load(std::memory_order_relaxed);
-          });
-          if (stream.done.load(std::memory_order_relaxed)) {
-            samples_late_.fetch_add(1, std::memory_order_relaxed);
-            return false;
+        // Re-checked after every wake: the drainer may release its token
+        // while the queue is full again (refilled by other producers
+        // after its last swap), and then nobody would wake a waiter.
+        while (stream.queue.size() >= config_.job_queue_capacity &&
+               !stream.done.load(std::memory_order_relaxed)) {
+          if (!stream.draining) {
+            // No active drainer to wait on: make progress ourselves
+            // (even in deferred mode). Waiting here would deadlock a
+            // pipeline that is both the sole producer and the
+            // process_pending caller; draining inline keeps kBlock
+            // lossless AND bounded.
+            drain_stream(stream, lock);
+          } else {
+            // Real back-pressure: an active drainer exists, so waiting
+            // terminates. The stalled producer (a network reader,
+            // typically) leaves TCP bytes unread and pushes the stall
+            // back to the remote sender.
+            pushes_blocked_.fetch_add(1, std::memory_order_relaxed);
+            stream.space.wait(lock, [&] {
+              return stream.queue.size() < config_.job_queue_capacity ||
+                     stream.done.load(std::memory_order_relaxed) ||
+                     !stream.draining;
+            });
           }
-        } else if (!stream.draining) {
-          // No active drainer to wait on: make progress ourselves (even
-          // in deferred mode). Waiting here would deadlock a pipeline
-          // that is both the sole producer and the process_pending
-          // caller; draining inline keeps kBlock lossless AND bounded.
-          drain_stream(stream, lock);
-          if (stream.done.load(std::memory_order_relaxed)) {
-            samples_late_.fetch_add(1, std::memory_order_relaxed);
-            return false;
-          }
-        } else {
-          // Real back-pressure: an active drainer exists, so waiting
-          // terminates. The stalled producer (a network reader,
-          // typically) leaves TCP bytes unread and pushes the stall
-          // back to the remote sender.
-          pushes_blocked_.fetch_add(1, std::memory_order_relaxed);
-          stream.space.wait(lock, [&] {
-            return stream.queue.size() < config_.job_queue_capacity ||
-                   stream.done.load(std::memory_order_relaxed);
-          });
-          if (stream.done.load(std::memory_order_relaxed)) {
-            samples_late_.fetch_add(1, std::memory_order_relaxed);
-            return false;
-          }
+        }
+        if (stream.done.load(std::memory_order_relaxed)) {
+          samples_late_.fetch_add(1, std::memory_order_relaxed);
+          return false;
         }
         break;
       }
@@ -399,17 +222,12 @@ std::size_t RecognitionService::push_batch(
   const bool timed = hot.sample_now();
   std::unique_lock lock(stream->mutex);
   for (const SamplePush& sample : samples) {
-    if (enqueue_locked(stream, lock, sample, batch_ns)) ++accepted;
+    if (enqueue_locked(*stream, lock, sample, batch_ns)) ++accepted;
   }
   if (timed) hot.enqueue_ns.observe(now_ns() - batch_ns);
   if (accepted > 0) {
     stream->last_activity_ns.store(batch_ns, std::memory_order_relaxed);
-    if (!config_.deferred) {
-      drain_stream(*stream, lock);
-    } else if (!workers_.empty()) {
-      // Ring the owning worker; dedup makes repeat notifies one slot.
-      schedule_stream(stream);
-    }
+    if (!config_.deferred) drain_stream(*stream, lock);
   }
   return accepted;
 }
@@ -448,16 +266,7 @@ std::size_t RecognitionService::drain_stream(
       }
       ++fed;  // unknown-metric samples still count as fed, as before
       if (stream.recognizer.ready()) {
-        // On a worker thread, score with the worker's own scratch (one
-        // arena serves every stream it drains); the verdict is the same
-        // either way — scratch is working memory, not state.
-        RecognitionScratch* scratch =
-            (tl_worker_ != nullptr && tl_worker_->owner == this)
-                ? &tl_worker_->scratch
-                : nullptr;
-        auto result = scratch != nullptr ? stream.recognizer.result(*scratch)
-                                         : stream.recognizer.result();
-        if (result) verdict = *result;
+        if (auto result = stream.recognizer.result()) verdict = *result;
         fired = true;
         fired_enqueue_ns = sample.enqueue_ns;
         break;
@@ -516,14 +325,6 @@ std::size_t RecognitionService::process_pending(util::ThreadPool* pool) {
   }
   if (streams.empty()) return 0;
 
-  if (!workers_.empty()) {
-    // Worker mode: scoring belongs to the owning workers. This is only
-    // a catch-up sweep — pushes already ring on arrival — so nudge any
-    // dirty stream and let the pool drain asynchronously.
-    for (const auto& stream : streams) schedule_stream(stream);
-    return 0;
-  }
-
   std::atomic<std::size_t> fed{0};
   const auto drain_one = [&](std::size_t i) {
     JobStream& stream = *streams[i];
@@ -538,7 +339,8 @@ std::size_t RecognitionService::process_pending(util::ThreadPool* pool) {
   return fed.load(std::memory_order_relaxed);
 }
 
-void RecognitionService::finish_stream(JobStream& stream) {
+void RecognitionService::finish_stream(JobStream& stream,
+                                       std::int64_t decided_ns) {
   // Caller holds the stream mutex with the drain token free, so the
   // recognizer is exclusively ours. Flush accepted-but-unprocessed
   // samples first — they arrived before the close decision.
@@ -569,10 +371,11 @@ void RecognitionService::finish_stream(JobStream& stream) {
   // Queued before done is published, as in drain_stream().
   RecognitionResult verdict;
   if (auto result = stream.recognizer.result()) verdict = *result;
-  // Force-closed verdicts carry no enqueue stamp: their latency is
-  // dominated by the close/evict decision, not the scoring path.
+  // Timed from the close/evict decision: that, not a sample's
+  // admission, is what triggered this verdict.
   queue_verdict(stream.job_id, std::move(verdict),
-                stream.ingress != nullptr ? stream.ingress->source : 0, 0);
+                stream.ingress != nullptr ? stream.ingress->source : 0,
+                decided_ns);
   if (stream.ingress != nullptr) {
     stream.ingress->jobs_completed.fetch_add(1, std::memory_order_relaxed);
   }
@@ -581,20 +384,22 @@ void RecognitionService::finish_stream(JobStream& stream) {
 }
 
 bool RecognitionService::close_job(std::uint64_t job_id) {
+  const std::int64_t requested_ns = now_ns();
   const std::shared_ptr<JobStream> stream = find_stream(job_id);
   if (stream == nullptr) return false;
 
   std::unique_lock lock(stream->mutex);
   stream->drained.wait(lock, [&] { return !stream->draining; });
   if (stream->done.load(std::memory_order_relaxed)) return false;
-  finish_stream(*stream);
+  finish_stream(*stream, requested_ns);
   return true;
 }
 
 std::size_t RecognitionService::sweep_stale_jobs(
     std::chrono::steady_clock::duration ttl) {
+  const std::int64_t decided_ns = now_ns();
   const std::int64_t cutoff =
-      now_ns() -
+      decided_ns -
       std::chrono::duration_cast<std::chrono::nanoseconds>(ttl).count();
   std::vector<std::shared_ptr<JobStream>> stale;
   {
@@ -615,7 +420,7 @@ std::size_t RecognitionService::sweep_stale_jobs(
     if (stream->last_activity_ns.load(std::memory_order_relaxed) > cutoff) {
       continue;  // revived between the scan and the lock
     }
-    finish_stream(*stream);
+    finish_stream(*stream, decided_ns);
     ++evicted;
   }
   if (evicted > 0) jobs_evicted_.fetch_add(evicted, std::memory_order_relaxed);
@@ -634,29 +439,9 @@ std::vector<JobVerdict> RecognitionService::drain_verdicts() {
       }
     }
   }
-  std::vector<PendingVerdict> merged;
-  {
-    std::lock_guard lock(verdicts_mutex_);
-    merged.swap(verdicts_);
-  }
-  for (const auto& worker : workers_) {
-    std::lock_guard lock(worker->staging_mutex);
-    merged.insert(merged.end(),
-                  std::make_move_iterator(worker->staging.begin()),
-                  std::make_move_iterator(worker->staging.end()));
-    worker->staging.clear();
-  }
-  // Merge staged + shared back into the single global completion order
-  // (the order single-threaded mode yields natively).
-  std::sort(merged.begin(), merged.end(),
-            [](const PendingVerdict& a, const PendingVerdict& b) {
-              return a.seq < b.seq;
-            });
   std::vector<JobVerdict> drained;
-  drained.reserve(merged.size());
-  for (PendingVerdict& pending : merged) {
-    drained.push_back(std::move(pending.verdict));
-  }
+  std::lock_guard lock(verdicts_mutex_);
+  drained.swap(verdicts_);
   return drained;
 }
 
@@ -737,11 +522,6 @@ void RecognitionService::queue_verdict(std::uint64_t job_id,
                                        RecognitionResult result,
                                        std::uint32_t source,
                                        std::int64_t enqueue_ns) {
-  // The seq stamp (taken under the firing stream's mutex) is the global
-  // completion order; drain_verdicts sorts by it, so the drained stream
-  // is identical whether verdicts staged per-worker or centrally.
-  const std::uint64_t seq =
-      verdict_seq_.fetch_add(1, std::memory_order_relaxed);
   const std::int64_t verdict_ns = now_ns();
   if (enqueue_ns > 0) {
     auto& hot = obs::hot_path();
@@ -749,50 +529,17 @@ void RecognitionService::queue_verdict(std::uint64_t job_id,
       hot.verdict_e2e_ns.observe(verdict_ns - enqueue_ns);
     }
   }
-  PendingVerdict pending{
-      seq, {job_id, std::move(result), source, enqueue_ns, verdict_ns}};
-  if (tl_worker_ != nullptr && tl_worker_->owner == this) {
-    // Worker fast path: stage locally; no cross-worker lock traffic on
-    // the scoring path.
-    std::lock_guard lock(tl_worker_->staging_mutex);
-    tl_worker_->staging.push_back(std::move(pending));
-  } else {
+  {
     std::lock_guard lock(verdicts_mutex_);
-    verdicts_.push_back(std::move(pending));
+    verdicts_.push_back(
+        {job_id, std::move(result), source, enqueue_ns, verdict_ns});
   }
   jobs_completed_.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::vector<RecognitionService::PendingVerdict>
-RecognitionService::collect_pending_verdicts() const {
-  std::vector<PendingVerdict> merged;
-  {
-    std::lock_guard lock(verdicts_mutex_);
-    merged = verdicts_;
-  }
-  for (const auto& worker : workers_) {
-    std::lock_guard lock(worker->staging_mutex);
-    merged.insert(merged.end(), worker->staging.begin(),
-                  worker->staging.end());
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const PendingVerdict& a, const PendingVerdict& b) {
-              return a.seq < b.seq;
-            });
-  return merged;
-}
-
 std::size_t RecognitionService::pending_verdict_count() const {
-  std::size_t count = 0;
-  {
-    std::lock_guard lock(verdicts_mutex_);
-    count = verdicts_.size();
-  }
-  for (const auto& worker : workers_) {
-    std::lock_guard lock(worker->staging_mutex);
-    count += worker->staging.size();
-  }
-  return count;
+  std::lock_guard lock(verdicts_mutex_);
+  return verdicts_.size();
 }
 
 }  // namespace efd::core

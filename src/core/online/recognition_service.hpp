@@ -21,14 +21,8 @@
 ///    With config.deferred = true, push() only enqueues (cheap enough
 ///    for a network reader thread) and process_pending() — typically
 ///    called by the ingest pipeline, fanned across a thread pool —
-///    consumes the queues and fires verdicts.
-///  - With config.worker_count = N > 0 the service runs N persistent
-///    worker threads instead: every job is sharded to one worker (hash
-///    of job id), pushes enqueue and notify the owning worker's SPSC
-///    ring, and that worker alone scores the stream with its own
-///    RecognitionScratch — ingest never contends with scoring. Verdicts
-///    are sequence-stamped and drained in completion order, so the
-///    drained verdict stream is byte-identical to single-threaded mode.
+///    consumes the queues and fires verdicts. That is the one drain
+///    path: verdicts queue under one lock in completion order.
 ///  - Jobs that never complete (crashed daemons, killed executions)
 ///    stop consuming memory: sweep_stale_jobs() force-closes every
 ///    stream idle past the configured TTL, producing the paper's
@@ -76,7 +70,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -95,9 +88,10 @@ namespace efd::core {
 /// steady_clock nanoseconds (now_ns() epoch): `enqueue_ns` is when the
 /// sample that completed the job was admitted, `verdict_ns` when the
 /// verdict was computed — their difference is the end-to-end
-/// enqueue → verdict latency the observability plane histograms. Both
-/// are 0 when unknown (force-closed, evicted, or snapshot-restored
-/// verdicts). `source` is the ingest source tag the job arrived on.
+/// enqueue → verdict latency the observability plane histograms. A
+/// close_job() verdict is stamped from the close request, an evicted one
+/// from the sweep's decision; both are 0 only for snapshot-restored
+/// verdicts. `source` is the ingest source tag the job arrived on.
 struct JobVerdict {
   std::uint64_t job_id = 0;
   RecognitionResult result;
@@ -111,9 +105,7 @@ enum class BackpressurePolicy : std::uint8_t {
   /// Lossless: if another thread is draining, wait for space (true
   /// back-pressure); with no active drainer, the pusher drains inline
   /// itself — so kBlock can never deadlock a lone producer, even in
-  /// deferred mode. With the worker pool active the pusher instead
-  /// rings the owning worker and waits for it to make space (waiting
-  /// releases the stream mutex, so the worker drains independently).
+  /// deferred mode.
   kBlock,
   kDropOldest, ///< evict the oldest queued sample (bounded, freshest-wins)
   kReject,     ///< refuse the new sample (bounded, caller sees false)
@@ -137,12 +129,7 @@ struct RecognitionServiceConfig {
   /// When true, push() only enqueues; process_pending() consumes. When
   /// false, the pushing thread drains inline (verdicts fire in push()).
   bool deferred = false;
-  /// Persistent recognition workers (serve --workers N). 0 keeps the
-  /// single-threaded shape: the pusher (inline mode) or the
-  /// process_pending() caller scores. N > 0 starts N dedicated worker
-  /// threads, each owning a disjoint shard of jobs (hash of job id):
-  /// pushes only enqueue + notify the owning worker's ring, so the
-  /// ingest thread never scores a sample. Implies deferred = true.
+  /// Must be 0 (the constructor throws); goes when perfbench/ is next edited.
   std::size_t worker_count = 0;
 };
 
@@ -230,21 +217,12 @@ struct ServiceRestoreInfo {
 /// (open streams hold pointers into the owned dictionary).
 class RecognitionService {
  public:
-  /// Takes ownership of a trained concurrent dictionary. When
-  /// config.worker_count > 0 the worker pool starts here (and deferred
-  /// mode is forced on — workers ARE the drain side).
+  /// Takes ownership of a trained concurrent dictionary.
   explicit RecognitionService(ShardedDictionary dictionary,
                               RecognitionServiceConfig config = {});
 
-  /// Stops and joins the worker pool (no-op when worker_count == 0).
-  ~RecognitionService();
-
   RecognitionService(const RecognitionService&) = delete;
   RecognitionService& operator=(const RecognitionService&) = delete;
-
-  /// Number of persistent recognition workers (0 = single-threaded).
-  std::size_t worker_count() const noexcept { return workers_.size(); }
-  bool workers_active() const noexcept { return !workers_.empty(); }
 
   /// The ACTIVE dictionary. Borrowed reference: valid until the next
   /// swap_dictionary()/restore() publishes a successor epoch — callers
@@ -386,10 +364,7 @@ class RecognitionService {
   /// Drains every job's queued samples (deferred mode's consumer); fans
   /// the jobs out across \p pool when non-null. Safe to call from any
   /// thread and in any mode. Must be called from outside the pool's own
-  /// workers. Returns the number of samples recognized. With the worker
-  /// pool active this only nudges dirty streams onto their owning
-  /// workers (a catch-up sweep; pushes already notify) and returns 0 —
-  /// the workers score asynchronously.
+  /// workers. Returns the number of samples recognized.
   std::size_t process_pending(util::ThreadPool* pool = nullptr);
 
   /// Force-closes a job, producing a verdict from whatever windows have
@@ -472,15 +447,6 @@ class RecognitionService {
     std::atomic<bool> done{false};
     std::atomic<std::size_t> queued{0}; ///< == queue.size(), for stats
     std::atomic<std::int64_t> last_activity_ns{0}; ///< steady_clock epoch
-    /// Owning worker (hash of job id % worker count), assigned at
-    /// open/restore and never persisted — restoring under a different
-    /// --workers N just re-shards. Meaningless when the pool is off.
-    std::uint32_t worker_index = 0;
-    /// True while a reference to this stream sits in its worker's ring.
-    /// Producers exchange it to true before ringing (so N pushes cost
-    /// one ring slot); the worker clears it BEFORE draining, so a push
-    /// landing mid-drain re-rings and is never lost.
-    std::atomic<bool> scheduled{false};
   };
 
   /// Lock-free-increment ingress counters of one source tag (by_source
@@ -492,58 +458,6 @@ class RecognitionService {
     std::atomic<std::uint64_t> samples_pushed{0};
   };
 
-  /// A verdict plus its global completion-order stamp. Workers stage
-  /// verdicts locally (no shared lock on the scoring path); drain time
-  /// merges every staging area with the shared queue and sorts by seq,
-  /// recovering the exact completion order single-threaded mode yields.
-  struct PendingVerdict {
-    std::uint64_t seq = 0;
-    JobVerdict verdict;
-  };
-
-  /// One persistent recognition worker: a dedicated thread fed by a
-  /// notification ring of streams with work. The consumer's ring pop is
-  /// lock-free; producer_mutex serializes multiple producers and backs
-  /// the ring-empty sleep. Producers NEVER block on the ring: when it
-  /// is full (more scheduled streams than slots — degenerate) the entry
-  /// spills to `overflow`, so scheduling is safe while holding a stream
-  /// mutex (a blocking ring would deadlock against a worker stuck on
-  /// that same stream's mutex).
-  struct Worker {
-    explicit Worker(std::size_t capacity)
-        : mask(capacity - 1), ring(capacity) {}
-
-    RecognitionService* owner = nullptr;
-    const std::size_t mask;                      ///< capacity - 1 (pow2)
-    std::vector<std::shared_ptr<JobStream>> ring;
-    std::atomic<std::uint64_t> head{0};          ///< consumer cursor
-    std::atomic<std::uint64_t> tail{0};          ///< producer cursor
-    std::mutex producer_mutex;
-    std::condition_variable work_cv;             ///< worker: ring empty
-    /// Ring-full spill (guarded by producer_mutex); drained when the
-    /// ring empties.
-    std::vector<std::shared_ptr<JobStream>> overflow;
-    std::mutex staging_mutex;
-    std::vector<PendingVerdict> staging;         ///< verdicts scored here
-    RecognitionScratch scratch;                  ///< reused across streams
-    std::thread thread;
-  };
-
-  /// Quiesces the worker pool for the lifetime of the guard: every
-  /// worker parks at the pause barrier (between drains, so no stream is
-  /// mid-score) until destruction. No-op when the pool is off. Snapshot
-  /// uses this to capture worker-mode state at a consistent point.
-  class WorkerQuiesceGuard {
-   public:
-    explicit WorkerQuiesceGuard(const RecognitionService& service);
-    ~WorkerQuiesceGuard();
-    WorkerQuiesceGuard(const WorkerQuiesceGuard&) = delete;
-    WorkerQuiesceGuard& operator=(const WorkerQuiesceGuard&) = delete;
-
-   private:
-    const RecognitionService& service_;
-  };
-
   /// Get-or-create the counters of \p source_tag (any thread).
   SourceIngress* ingress_for(std::uint32_t source_tag);
 
@@ -551,8 +465,7 @@ class RecognitionService {
   /// Applies the back-pressure policy and enqueues one sample; \p lock
   /// holds stream->mutex (may be dropped and re-taken by a kBlock
   /// self-drain). Returns false when the sample was not enqueued.
-  bool enqueue_locked(const std::shared_ptr<JobStream>& stream,
-                      std::unique_lock<std::mutex>& lock,
+  bool enqueue_locked(JobStream& stream, std::unique_lock<std::mutex>& lock,
                       const SamplePush& sample, std::int64_t enqueue_ns);
   /// Drains the stream's queue with the drain token held; \p lock must
   /// hold stream->mutex on entry and holds it again on return. Returns
@@ -560,29 +473,16 @@ class RecognitionService {
   std::size_t drain_stream(JobStream& stream, std::unique_lock<std::mutex>& lock);
   /// Computes and queues a force-close verdict; caller holds the mutex
   /// and has waited out any drainer. Flushes queued samples first.
-  void finish_stream(JobStream& stream);
+  /// \p decided_ns (the close request or the sweep's decision) is the
+  /// verdict's latency origin.
+  void finish_stream(JobStream& stream, std::int64_t decided_ns);
   /// \p enqueue_ns is the admission stamp of the sample that completed
   /// the job (0 = unknown); the verdict's verdict_ns is stamped here.
   void queue_verdict(std::uint64_t job_id, RecognitionResult result,
                      std::uint32_t source, std::int64_t enqueue_ns);
   static std::int64_t now_ns();
 
-  /// Worker pool plumbing (all no-ops / unused when worker_count == 0).
-  void start_workers(std::size_t count);
-  void stop_workers();
-  void worker_loop(Worker& worker);
-  /// Consumer-side pop; nullptr when the ring is empty.
-  std::shared_ptr<JobStream> try_pop(Worker& worker);
-  /// Rings the stream's owning worker if it is not already scheduled.
-  /// Safe to call while holding stream->mutex (never blocks on it).
-  void schedule_stream(const std::shared_ptr<JobStream>& stream);
-  /// Shard assignment: splitmix64(job_id) % worker count.
-  std::uint32_t assign_worker(std::uint64_t job_id) const noexcept;
-  /// Shared + per-worker staged verdicts, merged in completion (seq)
-  /// order. Read-only; snapshot's verdict section uses it.
-  std::vector<PendingVerdict> collect_pending_verdicts() const;
-  /// Total undrained verdicts across the shared queue and every
-  /// worker's staging area.
+  /// Undrained verdicts in the queue.
   std::size_t pending_verdict_count() const;
 
   /// Snapshot/restore internals (service_snapshot.cpp): the section
@@ -602,33 +502,15 @@ class RecognitionService {
   ServiceRestoreInfo commit_staging(RestoreStaging&& staging);
   void require_fresh_for_restore() const;
 
-  /// The worker this thread runs (nullptr on every non-worker thread).
-  /// Scratch/staging are borrowed only after an owner check, so a
-  /// worker of service A pushing into service B stays correct.
-  static thread_local Worker* tl_worker_;
-
   DictionaryHandle handle_;
   RecognitionServiceConfig config_;
 
   mutable std::shared_mutex jobs_mutex_;
   std::unordered_map<std::uint64_t, std::shared_ptr<JobStream>> jobs_;
 
+  /// Verdicts in completion order: push order under this leaf lock.
   mutable std::mutex verdicts_mutex_;
-  std::vector<PendingVerdict> verdicts_;
-  /// Global completion-order stamp shared by every verdict producer.
-  std::atomic<std::uint64_t> verdict_seq_{0};
-
-  /// The pool (empty when worker_count == 0). unique_ptr: Worker holds
-  /// mutexes/cvs/a thread, so it must not move once started. Mutable
-  /// pause machinery lets const snapshot() quiesce the pool.
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::atomic<bool> stop_workers_{false};
-  mutable std::atomic<bool> paused_{false};
-  mutable std::mutex pause_mutex_;
-  mutable std::condition_variable pause_cv_;
-  mutable std::size_t quiesced_ = 0;  ///< workers parked at the barrier
-  /// Serializes WorkerQuiesceGuard holders (snapshot vs snapshot).
-  mutable std::mutex quiesce_mutex_;
+  std::vector<JobVerdict> verdicts_;
 
   /// Source-tag → ingress counters. Touched once per open_job (and by
   /// stats()); the hot push path goes through JobStream::ingress.

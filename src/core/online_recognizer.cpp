@@ -133,18 +133,10 @@ int OnlineRecognizer::seconds_until_ready(int current_t) const noexcept {
 }
 
 std::optional<RecognitionResult> OnlineRecognizer::result() const {
-  return result_with(scratch_);
-}
-
-std::optional<RecognitionResult> OnlineRecognizer::result(
-    RecognitionScratch& scratch) const {
-  return result_with(scratch);
-}
-
-std::optional<RecognitionResult> OnlineRecognizer::result_with(
-    RecognitionScratch& scratch) const {
   if (!ready()) return std::nullopt;
   if (cached_) return cached_;
+
+  RecognitionScratch& scratch = scratch_;
 
   const FingerprintConfig& config = dictionary_->config();
 

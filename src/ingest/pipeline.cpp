@@ -971,10 +971,8 @@ std::uint64_t IngestPipeline::run() {
     }
 
     // Recognize everything the batch enqueued (deferred services; a
-    // no-op for inline ones), then ship finished verdicts back. With
-    // the worker pool active the service's own workers score as pushes
-    // arrive — no poll-boundary scoring pass at all.
-    if (!service_.workers_active()) service_.process_pending(pool_);
+    // no-op for inline ones), then ship finished verdicts back.
+    service_.process_pending(pool_);
     total_delivered += flush_verdicts();
 
     const auto now = std::chrono::steady_clock::now();

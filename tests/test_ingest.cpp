@@ -29,6 +29,7 @@
 #include "ingest/transport_feed.hpp"
 #include "ldms/sampler.hpp"
 #include "ldms/streaming.hpp"
+#include "obs/metrics.hpp"
 #include "sim/app_model.hpp"
 #include "sim/cluster_sim.hpp"
 #include "telemetry/metric_registry.hpp"
@@ -292,21 +293,39 @@ TEST_F(IngestFixture, PipelineSweepEvictsStaleJobsWhileRunning) {
 
   IngestPipelineConfig pipeline_config;
   pipeline_config.sweep_interval = std::chrono::milliseconds(5);
-  pipeline_config.max_verdicts = 1;  // stop once the eviction resolves it
+  pipeline_config.max_verdicts = 2;  // stop once the eviction resolves job 5
+  std::size_t stamped = 0;
+  pipeline_config.on_verdict = [&stamped](const core::JobVerdict& verdict) {
+    // Close and eviction verdicts are timed from their decision.
+    if (verdict.enqueue_ns > 0 && verdict.verdict_ns > verdict.enqueue_ns) {
+      ++stamped;
+    }
+  };
   IngestPipeline sweeping(service, ring, pipeline_config);
+  const obs::Histogram& latency = obs::hot_path().verdict_e2e_ns;
+  const std::uint64_t observed_before = latency.count();
 
+  send_job(ring, 6, 6030.0, /*ticks=*/3);  // closed before its window
   TransportFeed feed(ring, 16);
   feed.job_opened(5, 2);
   feed.publish(0, "nr_mapped_vmstat", 0, 6030.0);
   feed.flush();
-  // Note: no close, and the ring stays open — only the sweep can end it.
+  // Note: no close for job 5, and the ring stays open — only the sweep
+  // can end it.
   const std::uint64_t delivered = sweeping.run();
-  EXPECT_EQ(delivered, 1u);
+  EXPECT_EQ(delivered, 2u);
   EXPECT_GE(sweeping.stats().evicted, 1u);
   const auto verdicts = collector->verdicts();
   ASSERT_EQ(verdicts.count(5), 1u);
+  ASSERT_EQ(verdicts.count(6), 1u);
   EXPECT_FALSE(verdicts.at(5).recognized);
-  EXPECT_GE(service.stats().jobs_evicted, 1u);
+  EXPECT_FALSE(verdicts.at(6).recognized);
+  EXPECT_EQ(service.stats().jobs_evicted, 1u);
+  // Every delivered verdict, closed or evicted, is in the latency
+  // histogram.
+  EXPECT_EQ(stamped, delivered);
+  EXPECT_EQ(latency.count() - observed_before,
+            sweeping.stats().verdicts_delivered);
   ring.close();
 }
 

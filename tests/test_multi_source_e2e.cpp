@@ -170,12 +170,12 @@ TEST_F(MultiSourceE2e, SplitWorkloadAcrossThreeTransportsMatchesBaseline) {
   const std::string serve_log = temp_path("ms_serve.log");
   const std::string serve_pid = temp_path("ms_serve.pid");
   ServeGuard serve_guard{serve_pid};
-  // --workers 2 runs the sharded worker pool: the verdict-parity gate
-  // at the end of this test then also proves the pooled scorer
-  // reproduces the single-threaded baseline end to end.
+  // --threads 2 fans process_pending out over a thread pool: the
+  // verdict-parity gate at the end of this test then also proves the
+  // multi-threaded drain reproduces the single-threaded baseline.
   spawn(cli() + " serve --dict " + dict_path_ +
             " --listen tcp:0 --listen udp:0 --listen shm:" + shm_name +
-            " --workers 2 --max-jobs " + std::to_string(executions_) +
+            " --threads 2 --max-jobs " + std::to_string(executions_) +
             " --quiet",
         serve_log, serve_pid);
   const int tcp_port = await_marker_int(serve_log, "listening on port ");

@@ -8,9 +8,9 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 
 #include "core/matcher.hpp"
@@ -106,6 +106,10 @@ TEST_F(ServiceFixture, VerdictMatchesOfflineMatcher) {
 }
 
 TEST_F(ServiceFixture, LifecycleEdgeCases) {
+  RecognitionServiceConfig pooled;
+  pooled.worker_count = 2;  // refused, not silently ignored
+  EXPECT_THROW(make_service(pooled), std::invalid_argument);
+
   RecognitionService service = make_service();
   ASSERT_TRUE(service.open_job(1, 2));
   EXPECT_FALSE(service.open_job(1, 2));  // duplicate id rejected
@@ -376,25 +380,41 @@ TEST_F(ServiceFixture, StaleSweepEvictsIdleStreamsAndBoundsMemory) {
 TEST_F(ServiceFixture, DeferredConcurrentProducersWithPooledProcessing) {
   // Producers hammer deferred queues from competing threads while a
   // consumer drives process_pending across a pool — the ingest
-  // pipeline's exact shape. TSan-validates queue + drain-token locking.
+  // pipeline's exact shape — and a third thread drains verdicts and
+  // polls stats. The queue is small enough to force kBlock waits on the
+  // active drainer. TSan-validates queue + drain-token + verdict-queue
+  // locking; the end state must be lossless.
   RecognitionServiceConfig config;
   config.deferred = true;
-  config.job_queue_capacity = 64;
+  config.job_queue_capacity = 16;
   config.policy = BackpressurePolicy::kBlock;
   RecognitionService service = make_service(config);
-  constexpr std::uint64_t kJobs = 16;
+  constexpr std::uint64_t kJobs = 32;
   for (std::uint64_t job = 1; job <= kJobs; ++job) {
     ASSERT_TRUE(service.open_job(job, 2));
   }
 
   util::ThreadPool pool(4);
   std::atomic<bool> done_producing{false};
+  std::atomic<bool> done_processing{false};
+  std::vector<JobVerdict> verdicts;
+  std::thread drainer([&] {
+    while (!done_processing.load()) {
+      for (auto& verdict : service.drain_verdicts()) {
+        verdicts.push_back(std::move(verdict));
+      }
+      (void)service.stats();
+      std::this_thread::yield();
+    }
+  });
   std::vector<std::thread> producers;
   for (int p = 0; p < 4; ++p) {
     producers.emplace_back([&, p] {
       for (std::uint64_t job = 1 + static_cast<std::uint64_t>(p);
            job <= kJobs; job += 4) {
         stream_job(service, job, job % 2 == 0 ? 6030.0 : 6080.0);
+        // A second process_pending caller racing the consumer's.
+        if (job % 8 == 1) service.process_pending();
       }
     });
   }
@@ -408,121 +428,11 @@ TEST_F(ServiceFixture, DeferredConcurrentProducersWithPooledProcessing) {
   for (auto& producer : producers) producer.join();
   done_producing.store(true);
   consumer.join();
-
-  const auto verdicts = service.drain_verdicts();
-  ASSERT_EQ(verdicts.size(), kJobs);
-  for (const JobVerdict& verdict : verdicts) {
-    EXPECT_EQ(verdict.result.prediction(),
-              verdict.job_id % 2 == 0 ? "ft" : "mg")
-        << "job " << verdict.job_id;
-  }
-}
-
-TEST_F(ServiceFixture, WorkerPoolVerdictTableMatchesSingleThreaded) {
-  // The same traffic through the single-threaded deferred drain and
-  // through worker pools of several sizes: the verdict table (job ->
-  // full recognition result) must be identical — the pool changes who
-  // scores, never what is scored.
-  const auto run = [&](std::size_t workers) {
-    RecognitionServiceConfig config;
-    config.deferred = true;
-    config.worker_count = workers;
-    RecognitionService service = make_service(config);
-    EXPECT_EQ(service.worker_count(), workers);
-    EXPECT_EQ(service.workers_active(), workers > 0);
-    constexpr std::uint64_t kJobs = 12;
-    for (std::uint64_t job = 1; job <= kJobs; ++job) {
-      EXPECT_TRUE(service.open_job(job, 2));
-    }
-    for (int t = 0; t < 130; ++t) {
-      for (std::uint64_t job = 1; job <= kJobs; ++job) {
-        for (std::uint32_t node = 0; node < 2; ++node) {
-          service.push(job, node, "nr_mapped_vmstat", t,
-                       job % 2 == 0 ? 6030.0 : 6080.0);
-        }
-      }
-      if (workers == 0) service.process_pending();
-    }
-    // Worker mode scores asynchronously; wait for every verdict.
-    std::vector<JobVerdict> verdicts;
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (verdicts.size() < kJobs &&
-           std::chrono::steady_clock::now() < deadline) {
-      if (workers == 0) service.process_pending();
-      auto drained = service.drain_verdicts();
-      for (auto& verdict : drained) verdicts.push_back(std::move(verdict));
-      if (verdicts.size() < kJobs) std::this_thread::yield();
-    }
-    EXPECT_EQ(verdicts.size(), kJobs) << "workers=" << workers;
-    std::sort(verdicts.begin(), verdicts.end(),
-              [](const JobVerdict& a, const JobVerdict& b) {
-                return a.job_id < b.job_id;
-              });
-    return verdicts;
-  };
-
-  const std::vector<JobVerdict> baseline = run(0);
-  for (const std::size_t workers : {1u, 2u, 3u}) {
-    const std::vector<JobVerdict> pooled = run(workers);
-    ASSERT_EQ(pooled.size(), baseline.size()) << "workers=" << workers;
-    for (std::size_t i = 0; i < baseline.size(); ++i) {
-      EXPECT_EQ(pooled[i].job_id, baseline[i].job_id);
-      EXPECT_EQ(pooled[i].result.recognized, baseline[i].result.recognized);
-      EXPECT_EQ(pooled[i].result.applications, baseline[i].result.applications);
-      EXPECT_EQ(pooled[i].result.votes, baseline[i].result.votes);
-      EXPECT_EQ(pooled[i].result.label_votes, baseline[i].result.label_votes);
-      EXPECT_EQ(pooled[i].result.matched_labels,
-                baseline[i].result.matched_labels);
-      EXPECT_EQ(pooled[i].result.fingerprint_count,
-                baseline[i].result.fingerprint_count);
-      EXPECT_EQ(pooled[i].result.matched_count,
-                baseline[i].result.matched_count);
-    }
-  }
-}
-
-TEST_F(ServiceFixture, WorkerPoolStressWithBackpressureAndConcurrentDrain) {
-  // TSan target: competing producers push 32 jobs through a 3-worker
-  // pool with a queue small enough to force kBlock waits (producers
-  // parking on stream.space while the owning worker drains), while a
-  // separate thread drains verdicts and polls stats concurrently, and
-  // the pushing threads sprinkle process_pending (the worker-mode
-  // catch-up sweep) in. Lossless end state: every job completes with
-  // the right prediction, nothing rejected or overflowed.
-  RecognitionServiceConfig config;
-  config.worker_count = 3;  // implies deferred
-  config.job_queue_capacity = 16;
-  config.policy = BackpressurePolicy::kBlock;
-  RecognitionService service = make_service(config);
-  constexpr std::uint64_t kJobs = 32;
-  for (std::uint64_t job = 1; job <= kJobs; ++job) {
-    ASSERT_TRUE(service.open_job(job, 2));
-  }
-
-  std::atomic<bool> done_producing{false};
-  std::vector<JobVerdict> verdicts;
-  std::thread drainer([&] {
-    while (!done_producing.load() || verdicts.size() < kJobs) {
-      auto drained = service.drain_verdicts();
-      for (auto& verdict : drained) verdicts.push_back(std::move(verdict));
-      (void)service.stats();
-      std::this_thread::yield();
-    }
-  });
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&, p] {
-      for (std::uint64_t job = 1 + static_cast<std::uint64_t>(p);
-           job <= kJobs; job += 4) {
-        stream_job(service, job, job % 2 == 0 ? 6030.0 : 6080.0);
-        if (job % 8 == 1) service.process_pending();
-      }
-    });
-  }
-  for (auto& producer : producers) producer.join();
-  done_producing.store(true);
+  done_processing.store(true);
   drainer.join();
+  for (auto& verdict : service.drain_verdicts()) {
+    verdicts.push_back(std::move(verdict));
+  }
 
   ASSERT_EQ(verdicts.size(), kJobs);
   for (const JobVerdict& verdict : verdicts) {

@@ -420,118 +420,6 @@ TEST_F(SnapshotFixture, FuzzCorruptionAlwaysDetected) {
   }
 }
 
-TEST_F(SnapshotFixture, WorkerPoolMidStreamRestoreYieldsIdenticalVerdicts) {
-  // Snapshot a service whose worker pool is ACTIVE (the quiesce barrier
-  // must capture a consistent point between drains), then restore into
-  // pools of the same size, a different size, and the single-threaded
-  // shape. worker_index is never persisted — every restore re-shards —
-  // and all four futures must produce the identical verdict table.
-  RecognitionServiceConfig pooled;
-  pooled.worker_count = 3;
-  RecognitionService service = make_service(pooled);
-  constexpr std::uint64_t kJobs = 6;
-  for (std::uint64_t job = 1; job <= kJobs; ++job) {
-    ASSERT_TRUE(service.open_job(job, 2));
-  }
-  for (std::uint64_t job = 1; job <= kJobs; ++job) {
-    stream_range(service, job, job % 2 == 0 ? 6030.0 : 6080.0, 0, 80);
-  }
-  std::ostringstream out;
-  service.snapshot(out);  // pool still running: quiesce barrier
-  const std::string snapshot = std::move(out).str();
-
-  // Finish a service's jobs and return its verdicts sorted by job id.
-  const auto finish = [&](RecognitionService& target) {
-    for (std::uint64_t job = 1; job <= kJobs; ++job) {
-      stream_range(target, job, job % 2 == 0 ? 6030.0 : 6080.0, 80, 130);
-    }
-    std::vector<JobVerdict> verdicts;
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (verdicts.size() < kJobs &&
-           std::chrono::steady_clock::now() < deadline) {
-      if (!target.workers_active()) target.process_pending();
-      auto drained = target.drain_verdicts();
-      for (auto& verdict : drained) verdicts.push_back(std::move(verdict));
-      if (verdicts.size() < kJobs) std::this_thread::yield();
-    }
-    EXPECT_EQ(verdicts.size(), kJobs);
-    std::sort(verdicts.begin(), verdicts.end(),
-              [](const JobVerdict& a, const JobVerdict& b) {
-                return a.job_id < b.job_id;
-              });
-    return verdicts;
-  };
-
-  const std::vector<JobVerdict> original = finish(service);
-  for (const std::size_t workers : {3u, 1u, 0u}) {
-    RecognitionServiceConfig config;
-    config.deferred = true;  // match the pool's forced deferred shape
-    config.worker_count = workers;
-    RecognitionService restored = make_service(config);
-    std::istringstream in(snapshot);
-    const ServiceRestoreInfo info = restored.restore(in);
-    EXPECT_EQ(info.jobs_restored, kJobs) << "workers=" << workers;
-    const std::vector<JobVerdict> verdicts = finish(restored);
-    ASSERT_EQ(verdicts.size(), original.size()) << "workers=" << workers;
-    for (std::size_t i = 0; i < original.size(); ++i) {
-      EXPECT_EQ(verdicts[i].job_id, original[i].job_id);
-      expect_same_result(verdicts[i].result, original[i].result,
-                         "workers=" + std::to_string(workers) + " job " +
-                             std::to_string(verdicts[i].job_id));
-    }
-  }
-}
-
-TEST_F(SnapshotFixture, SnapshotUnderLiveWorkerPoolTrafficStaysRestorable) {
-  // The worker-pool twin of SnapshotUnderLiveTrafficStaysRestorable:
-  // producers hammer a pooled service while a snapshotter quiesces it
-  // in a loop. Every capture must restore cleanly — TSan-validates the
-  // quiesce barrier against pushes, worker drains, and verdict firing.
-  RecognitionServiceConfig pooled;
-  pooled.worker_count = 2;
-  RecognitionService service = make_service(pooled);
-  constexpr std::uint64_t kJobs = 8;
-  constexpr int kRounds = 4;
-  for (std::uint64_t job = 1; job <= kJobs; ++job) {
-    ASSERT_TRUE(service.open_job(job, 2));
-  }
-
-  std::vector<std::string> captures;
-  std::atomic<bool> done{false};
-  std::thread snapshotter([&] {
-    while (!done.load(std::memory_order_acquire)) {
-      std::ostringstream out;
-      service.snapshot(out, captures.size());
-      captures.push_back(std::move(out).str());
-      std::this_thread::yield();
-    }
-  });
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&, p] {
-      for (int round = 0; round < kRounds; ++round) {
-        for (std::uint64_t job = 1 + static_cast<std::uint64_t>(p);
-             job <= kJobs; job += 4) {
-          stream_range(service, job, job % 2 == 0 ? 6030.0 : 6080.0, 0, 130);
-        }
-      }
-    });
-  }
-  for (auto& producer : producers) producer.join();
-  done.store(true, std::memory_order_release);
-  snapshotter.join();
-
-  ASSERT_FALSE(captures.empty());
-  for (std::size_t i = 0; i < captures.size(); ++i) {
-    RecognitionService fresh = make_service();
-    std::istringstream in(captures[i]);
-    const ServiceRestoreInfo info = fresh.restore(in);
-    EXPECT_EQ(info.replay_cursor, i);
-  }
-}
-
 TEST_F(SnapshotFixture, SnapshotUnderLiveTrafficStaysRestorable) {
   // Producers hammer the service while a snapshotter captures it in a
   // loop: every capture must be internally consistent (restorable into

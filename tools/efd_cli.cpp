@@ -150,7 +150,7 @@ int usage() {
       "             [--listen tcp:PORT|udp:PORT|shm:NAME]...  (repeatable:\n"
       "             every listener feeds the same service; default tcp)\n"
       "             [--policy block|drop-oldest|reject] [--queue-capacity N]\n"
-      "             [--workers N] [--ttl-seconds S] [--max-jobs N] [--quiet]\n"
+      "             [--ttl-seconds S] [--max-jobs N] [--quiet]\n"
       "             [--allow-shutdown] [--allow-swap] [--http PORT]\n"
       "             [--snapshot-path FILE] [--snapshot-interval-ms MS]\n"
       "             [--snapshot-every VERDICTS] [--restore]\n"
@@ -573,10 +573,6 @@ int cmd_serve(const util::ArgParser& args) {
   }
   service_config.job_queue_capacity =
       static_cast<std::size_t>(args.get_int("queue-capacity", 4096));
-  // --workers N > 0 shards recognition across a persistent worker pool;
-  // 0 keeps the single-threaded poll-loop drain (process_pending).
-  service_config.worker_count =
-      static_cast<std::size_t>(args.get_int("workers", 0));
   service_config.stale_ttl =
       std::chrono::seconds(args.get_int("ttl-seconds", 600));
 
@@ -586,8 +582,7 @@ int cmd_serve(const util::ArgParser& args) {
   std::cout << "serving dictionary: " << dictionary.size() << " keys across "
             << dictionary.shard_count() << " shards (policy "
             << core::backpressure_policy_name(service_config.policy)
-            << ", queue " << service_config.job_queue_capacity << ", workers "
-            << service_config.worker_count << ", ttl "
+            << ", queue " << service_config.job_queue_capacity << ", ttl "
             << args.get_int("ttl-seconds", 600) << " s)\n";
   core::RecognitionService service(std::move(dictionary), service_config);
 
@@ -747,13 +742,11 @@ int cmd_serve(const util::ArgParser& args) {
     follower_config.control = &sources;
     // Every replicated capture is validated by restoring the full local
     // chain into a throwaway service configured like the one a
-    // promotion would boot (workers off — it only replays).
-    core::RecognitionServiceConfig shadow_config = service_config;
-    shadow_config.worker_count = 0;
-    follower_config.shadow_factory = [dict, shard_count, shadow_config] {
+    // promotion would boot.
+    follower_config.shadow_factory = [dict, shard_count, service_config] {
       return std::make_unique<core::RecognitionService>(
           core::ShardedDictionary::load_file(dict, shard_count),
-          shadow_config);
+          service_config);
     };
     if (!args.has("quiet")) {
       follower_config.log = [](const std::string& line) {

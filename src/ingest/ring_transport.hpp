@@ -10,6 +10,8 @@
 /// not sample loss. Designed for one consumer (the pipeline); any number
 /// of producers may send (a mutex serializes them — at monitoring rates
 /// the lock is uncontended; the bound, not the lock, is the point).
+/// Every enqueue and close also rings the attached Doorbell (if any), so
+/// a SourceMux waiting on many rings wakes on whichever fills first.
 
 #include <condition_variable>
 #include <cstdint>
@@ -78,6 +80,7 @@ class RingTransport final : public SampleSource, public MessageSender {
       buffered_samples_ += message.samples.size();
       ++accepted_;
       ring_.push(Envelope{std::move(message), std::move(reply)});
+      ring_doorbell();
     }
     not_empty_.notify_one();
     return true;
@@ -89,16 +92,30 @@ class RingTransport final : public SampleSource, public MessageSender {
     {
       std::lock_guard lock(mutex_);
       closed_ = true;
+      ring_doorbell();
     }
     not_full_.notify_all();
     not_empty_.notify_all();
   }
 
+  /// Rings are made under the queue mutex, so after this returns no
+  /// producer still holds the old doorbell.
+  bool attach_doorbell(Doorbell* doorbell) override {
+    std::lock_guard lock(mutex_);
+    doorbell_ = doorbell;
+    return true;
+  }
+
   bool poll(std::vector<Envelope>& out,
             std::chrono::milliseconds timeout) override {
     std::unique_lock lock(mutex_);
-    not_empty_.wait_for(lock, timeout,
-                        [this] { return !ring_.empty() || closed_; });
+    // A zero-timeout poll (the mux's sweep) must not enter wait_for:
+    // even an already-expired wait releases and re-takes the mutex, and
+    // against a busy producer that costs context switches per envelope.
+    if (timeout.count() > 0) {
+      not_empty_.wait_for(lock, timeout,
+                          [this] { return !ring_.empty() || closed_; });
+    }
     Envelope envelope;
     bool popped = false;
     while (ring_.pop_front(envelope)) {
@@ -142,8 +159,14 @@ class RingTransport final : public SampleSource, public MessageSender {
     buffered_samples_ += message.samples.size();
     ++accepted_;
     ring_.push(Envelope{std::move(message), std::move(reply)});
+    ring_doorbell();
     lock.unlock();
     not_empty_.notify_one();
+  }
+
+  /// Caller holds mutex_.
+  void ring_doorbell() {
+    if (doorbell_ != nullptr) doorbell_->ring();
   }
 
   mutable std::mutex mutex_;
@@ -153,6 +176,7 @@ class RingTransport final : public SampleSource, public MessageSender {
   std::size_t sample_capacity_;
   std::size_t buffered_samples_ = 0;
   std::shared_ptr<VerdictSink> verdict_sink_;
+  Doorbell* doorbell_ = nullptr;
   bool closed_ = false;
   std::uint64_t blocked_sends_ = 0;
   std::uint64_t accepted_ = 0;

@@ -38,9 +38,13 @@ void ring_read(const std::uint8_t* ring, std::uint32_t capacity,
   if (first < size) std::memcpy(data + first, ring, size - first);
 }
 
-/// Millisecond sleep unit of every waiting side: monitoring cadence,
-/// not a spin target.
+/// Millisecond sleep unit of the sides that still poll: a producer
+/// blocked on a full inbound ring, and the attach handshake.
 void wait_tick() { std::this_thread::sleep_for(std::chrono::milliseconds(1)); }
+
+/// Longest sleep of an idle server reader: the heartbeat period, and the
+/// bound on how late it notices a peer that published without ringing.
+constexpr std::chrono::milliseconds kReaderIdleWait{100};
 
 /// CLOCK_MONOTONIC ns — comparable across the two processes sharing the
 /// segment (std::chrono::steady_clock is CLOCK_MONOTONIC on Linux).
@@ -50,14 +54,15 @@ std::int64_t monotonic_ns() {
       .count();
 }
 
-/// A consumer silent past this is presumed dead. It refreshes every
-/// poll (millisecond cadence when idle), so the margin is generous —
-/// wide enough to ride out the poll loop's occasional synchronous work
-/// (a large snapshot write or boot-time restore) without declaring a
-/// live server dead under a blocked producer.
+/// A consumer silent past this is presumed dead. Its reader refreshes
+/// every pass (kReaderIdleWait when idle), so the margin is generous —
+/// wide enough to ride out a reader parked on a full queue while the
+/// poll loop does occasional synchronous work (a large snapshot write
+/// or boot-time restore) without declaring a live server dead under a
+/// blocked producer.
 constexpr std::int64_t kConsumerStaleNs = 30'000'000'000;
 
-/// True when \p segment_name holds an EFD-SHM-V1 segment whose consumer
+/// True when \p segment_name holds an EFD-SHM segment whose consumer
 /// heartbeat is fresh — i.e. a live server owns it. Anything else
 /// (missing, undersized, foreign magic, stale or never-set heartbeat)
 /// is safe to replace.
@@ -230,6 +235,7 @@ class ShmRingServer::ReplySink final : public VerdictSink {
     ring_write(region_->outbound(), header.outbound_capacity, head,
                frame.data(), frame.size());
     header.out_head.store(head + frame.size(), std::memory_order_release);
+    header.out_bell.ring();
   }
 
  private:
@@ -241,25 +247,41 @@ ShmRingServer::ShmRingServer(const std::string& name)
 
 ShmRingServer::ShmRingServer(const std::string& name, const Config& config)
     : name_(name),
-      config_(config),
       region_(std::make_shared<ShmRegion>(name, /*create=*/true,
                                           config.inbound_bytes,
                                           config.outbound_bytes)),
-      reply_(std::make_shared<ReplySink>(region_)) {
-  decoder_.set_buffer_pool(&pool_);  // recycle within this server
+      reply_(std::make_shared<ReplySink>(region_)),
+      queue_(kQueueCapacity) {
   // Liveness is visible to producers from the first attach, not the
-  // first poll.
+  // first reader pass.
   region_->header().consumer_heartbeat_ns.store(monotonic_ns(),
                                                 std::memory_order_relaxed);
+  reader_ = std::thread([this] { reader_loop(); });
 }
 
 ShmRingServer::~ShmRingServer() { stop(); }
 
 void ShmRingServer::stop() {
-  region_->header().consumer_closed.store(1, std::memory_order_release);
+  ShmHeader& header = region_->header();
+  header.consumer_closed.store(1, std::memory_order_release);
+  if (stopping_.exchange(true, std::memory_order_acq_rel)) return;
+  // Wake the reader wherever it sleeps: on the segment's doorbell, or
+  // on a full queue (back-pressure) — close() fails its send.
+  header.in_bell.ring();
+  queue_.close();
+  if (reader_.joinable()) reader_.join();
 }
 
-std::size_t ShmRingServer::drain_inbound() {
+void ShmRingServer::retire() {
+  decode_errors_.fetch_add(1, std::memory_order_relaxed);
+  // Consumer closed first: a producer blocked on the ring fails loudly
+  // instead of waiting on a segment nobody drains.
+  region_->header().consumer_closed.store(1, std::memory_order_release);
+  queue_.close();
+}
+
+long ShmRingServer::drain_inbound(FrameDecoder& decoder,
+                                  std::vector<std::uint8_t>& scratch) {
   ShmHeader& header = region_->header();
   const std::uint64_t tail = header.in_tail.load(std::memory_order_relaxed);
   const std::uint64_t head = header.in_head.load(std::memory_order_acquire);
@@ -268,76 +290,85 @@ std::size_t ShmRingServer::drain_inbound() {
   // (including tail > head underflow) is corruption — retire the
   // source, exactly like a poisoned frame stream, instead of
   // over-allocating or reading past the mapping.
-  if (head - tail > header.inbound_capacity) {
-    decode_errors_.fetch_add(1, std::memory_order_relaxed);
-    dead_ = true;
-    stop();
-    return 0;
-  }
+  if (head - tail > header.inbound_capacity) return -1;
   const std::size_t available = static_cast<std::size_t>(head - tail);
   if (available == 0) return 0;
-  scratch_.resize(available);
+  scratch.resize(available);
   ring_read(region_->inbound(), header.inbound_capacity, tail,
-            scratch_.data(), available);
+            scratch.data(), available);
   header.in_tail.store(tail + available, std::memory_order_release);
-  decoder_.feed(scratch_.data(), available);
+  decoder.feed(scratch.data(), available);
   bytes_.fetch_add(available, std::memory_order_relaxed);
-  return available;
+  return static_cast<long>(available);
 }
 
-bool ShmRingServer::poll(std::vector<Envelope>& out,
-                         std::chrono::milliseconds timeout) {
-  if (dead_) return false;
+void ShmRingServer::reader_loop() {
   ShmHeader& header = region_->header();
-  const auto deadline = Clock::now() + timeout;
-  std::size_t appended = 0;
+  FrameDecoder decoder;
+  decoder.set_buffer_pool(&pool_);  // recycle within this server
+  std::vector<std::uint8_t> scratch;
   for (;;) {
+    // Ticket before the stop check and the drain: a stop() or a send
+    // that lands after either rings past it, so the wait below returns
+    // at once instead of sleeping through it.
+    const std::uint32_t ticket = header.in_bell.ticket();
+    if (stopping_.load(std::memory_order_acquire)) return;
     header.consumer_heartbeat_ns.store(monotonic_ns(),
                                        std::memory_order_relaxed);
-    drain_inbound();
-    if (dead_) return appended > 0;  // cursor corruption: source retired
-    Message message;
-    DecodeStatus status;
-    while (appended < config_.max_messages_per_poll &&
-           (status = decoder_.next(message)) == DecodeStatus::kMessage) {
-      out.push_back(Envelope{std::move(message), reply_, /*source=*/0,
-                             /*pool=*/&pool_});
-      message = Message();
-      ++appended;
-      frames_.fetch_add(1, std::memory_order_relaxed);
+    const long drained = drain_inbound(decoder, scratch);
+    if (drained < 0) {  // cursor corruption: source retired
+      retire();
+      return;
     }
-    if (decoder_.failed()) {
+    Message message;
+    while (decoder.next(message) == DecodeStatus::kMessage) {
+      // Blocking send = end-to-end back-pressure: the inbound ring
+      // fills and stalls the producer until the pipeline catches up.
+      try {
+        queue_.send_with_reply(std::move(message), reply_);
+      } catch (const std::runtime_error&) {
+        return;  // stop() closed the queue underneath us
+      }
+      message = Message();
+    }
+    if (decoder.failed()) {
       // Corrupt framing is unrecoverable mid-stream, exactly like a
       // poisoned TCP connection: retire the source, keep the service.
-      decode_errors_.fetch_add(1, std::memory_order_relaxed);
-      dead_ = true;
-      stop();  // unblock (and fail) the producer
-      return appended > 0;
+      retire();
+      return;
     }
-    if (appended > 0) return true;
-    const bool producer_done =
-        header.producer_closed.load(std::memory_order_acquire) != 0;
-    const bool drained =
+    if (drained > 0) continue;  // the producer may have written more
+    // Flag first, cursors second: bytes written before finish_sending
+    // are visible once its flag is.
+    if (header.producer_closed.load(std::memory_order_acquire) != 0 &&
         header.in_head.load(std::memory_order_acquire) ==
             header.in_tail.load(std::memory_order_relaxed) &&
-        decoder_.buffered_bytes() == 0;
-    if (producer_done && drained) {
+        decoder.buffered_bytes() == 0) {
       // Session turnover, the TCP-hangup analog: this emitter finished
       // and is fully drained, so re-open the segment for the next one
       // instead of retiring the listener — a sole shm listener must not
       // shut the endpoint down because one replay ended. Only a corrupt
-      // stream (dead_) retires the source.
+      // stream retires the source.
       header.producer_closed.store(0, std::memory_order_release);
     }
-    if (Clock::now() >= deadline) return true;  // normal timeout
-    wait_tick();
+    header.in_bell.wait(ticket, kReaderIdleWait);
   }
+}
+
+bool ShmRingServer::poll(std::vector<Envelope>& out,
+                         std::chrono::milliseconds timeout) {
+  // Stamp pool provenance on the entries this call appended, so the
+  // consumer releases sample buffers back to THIS server's pool.
+  const std::size_t before = out.size();
+  const bool alive = queue_.poll(out, timeout);
+  for (std::size_t i = before; i < out.size(); ++i) out[i].pool = &pool_;
+  return alive;
 }
 
 ShmRingServer::Stats ShmRingServer::stats() const {
   Stats stats;
   stats.bytes = bytes_.load(std::memory_order_relaxed);
-  stats.frames = frames_.load(std::memory_order_relaxed);
+  stats.frames = queue_.transport_counters().frames;
   stats.decode_errors = decode_errors_.load(std::memory_order_relaxed);
   const ShmHeader& header = region_->header();
   stats.producer_blocked =
@@ -353,7 +384,9 @@ TransportCounters ShmRingServer::transport_counters() const {
   counters.frames = stats.frames;
   counters.decode_errors = stats.decode_errors;
   counters.drops = stats.verdicts_dropped;
-  counters.blocked = stats.producer_blocked;
+  // Back-pressure on either hop: the reader parked on a full queue, or
+  // the emitter on the full ring behind it.
+  counters.blocked = stats.producer_blocked + queue_.blocked_sends();
   return counters;
 }
 
@@ -387,6 +420,7 @@ void ShmRingClient::send(Message message) {
                  encode_buffer_.data(), encode_buffer_.size());
       header.in_head.store(head + encode_buffer_.size(),
                            std::memory_order_release);
+      header.in_bell.ring();
       return;
     }
     if (!counted_block) {
@@ -419,6 +453,9 @@ bool ShmRingClient::receive(Message& out, std::chrono::milliseconds timeout) {
       case DecodeStatus::kNeedMore:
         break;
     }
+    // Ticket before the cursor check: a verdict published after it
+    // rings past the ticket, so the wait below cannot sleep through it.
+    const std::uint32_t ticket = header.out_bell.ticket();
     const std::uint64_t tail = header.out_tail.load(std::memory_order_relaxed);
     const std::uint64_t head = header.out_head.load(std::memory_order_acquire);
     if (head - tail > header.outbound_capacity) {
@@ -433,13 +470,16 @@ bool ShmRingClient::receive(Message& out, std::chrono::milliseconds timeout) {
       decoder_.feed(chunk);
       continue;
     }
-    if (Clock::now() >= deadline) return false;
-    wait_tick();
+    const auto now = Clock::now();
+    if (now >= deadline) return false;
+    header.out_bell.wait(ticket, deadline - now);
   }
 }
 
 void ShmRingClient::finish_sending() {
-  region_->header().producer_closed.store(1, std::memory_order_release);
+  ShmHeader& header = region_->header();
+  header.producer_closed.store(1, std::memory_order_release);
+  header.in_bell.ring();  // the reader turns the session over promptly
 }
 
 }  // namespace efd::ingest

@@ -1,10 +1,11 @@
 #pragma once
 /// \file shm_transport.hpp
-/// \brief Cross-process shared-memory ring transport (EFD-SHM-V1).
+/// \brief Cross-process shared-memory ring transport (EFD-SHM-V2).
 ///
-/// The zero-syscall path for a monitoring daemon co-located with the
-/// serving endpoint: the mmap-backed, cross-process variant of the PR 2
-/// in-process ring discipline. A POSIX shared-memory segment carries two
+/// The zero-syscall path (while both sides are busy) for a monitoring
+/// daemon co-located with the serving endpoint: the mmap-backed,
+/// cross-process variant of the in-process ring discipline
+/// (ring_transport.hpp). A POSIX shared-memory segment carries two
 /// single-producer/single-consumer byte rings — inbound (emitter →
 /// service) for EFD-WIRE-V1 frames, outbound (service → emitter) for
 /// verdict/ack frames — plus a control header. The server creates and
@@ -13,42 +14,62 @@
 /// Segment layout:
 ///
 ///   segment  := ShmHeader | inbound bytes | outbound bytes
-///   ShmHeader: magic "EFDSHM1\0", version, ring capacities, ready
-///              flag, producer/consumer closed flags, and four
-///              monotonic head/tail byte cursors (std::atomic<u64>,
-///              required lock-free — position = cursor % capacity).
+///   ShmHeader: magic "EFDSHM1\0", version (2), ring capacities, ready
+///              flag, producer/consumer closed flags, four monotonic
+///              head/tail byte cursors (std::atomic<u64>, required
+///              lock-free — position = cursor % capacity), counters, the
+///              consumer heartbeat, and one futex doorbell per ring
+///              direction (a 32-bit ring count + a 32-bit waiter count).
 ///
 /// Discipline mirrors RingTransport: the inbound ring *blocks* the
 /// producer when full (back-pressure, counted — never silent loss),
 /// while the outbound ring sheds verdicts when the emitter stops
 /// reading (counted — the service's poll loop must never stall on one
-/// slow peer). Framing reuses the wire codec verbatim: the consumer
-/// feeds drained bytes to the same fuzz-hardened FrameDecoder the TCP
-/// reader uses, and a corrupt stream (or hostile ring cursors) retires
-/// the source (like a dropped TCP connection) rather than crashing it.
+/// slow peer). Framing reuses the wire codec verbatim: the server's
+/// reader thread feeds drained bytes to the same fuzz-hardened
+/// FrameDecoder the TCP reader uses, and a corrupt stream (or hostile
+/// ring cursors) retires the source (like a dropped TCP connection)
+/// rather than crashing it.
+///
+/// The server has the TCP/UDP servers' shape: a reader thread drains
+/// the inbound ring into an internal RingTransport (which rings the
+/// SourceMux doorbell), and poll() is that queue's poll.
 ///
 /// Sessions turn over like TCP connections: when a producer declares
 /// itself finished (finish_sending) and its bytes are drained, the
 /// server resets the closed flag and keeps serving, so the next emitter
 /// can attach to the same segment — a sole shm listener does not shut
 /// the endpoint down because one replay ended. Producers detect a DEAD
-/// consumer (crashed without closing) via a heartbeat the server
-/// refreshes every poll; a send blocked against a stale heartbeat fails
-/// loudly instead of waiting on an orphaned segment forever.
+/// consumer (crashed without closing) via a heartbeat the reader thread
+/// refreshes on every pass (at least every 100 ms while idle); a send
+/// blocked against a stale heartbeat fails loudly instead of waiting on
+/// an orphaned segment forever.
 ///
-/// Synchronization is purely acquire/release on the head/tail cursors;
-/// waiting sides sleep-poll at millisecond granularity (monitoring
-/// cadence, not a microsecond bus). One producer process/thread and one
-/// consumer each side — this is a point-to-point transport; register
-/// several segments on the SourceMux for several co-located daemons.
+/// Synchronization: acquire/release on the head/tail cursors, and a
+/// futex eventcount per direction for the waiting sides. A writer
+/// publishes its head cursor, then rings the direction's doorbell —
+/// one atomic increment, plus a FUTEX_WAKE only when the reader has
+/// announced itself asleep. A reader takes a doorbell ticket, checks the
+/// cursors, and sleeps on the futex word only if nothing moved, so a
+/// frame published in between is never slept through. The futex words
+/// are process-shared (no FUTEX_PRIVATE_FLAG). Waits are bounded (the
+/// server reader's by its heartbeat period, receive() by its timeout),
+/// so a peer that never rings costs latency, not liveness. Only a
+/// producer blocked on a FULL inbound ring and the attach handshake
+/// still sleep-poll, at millisecond granularity. One producer
+/// process/thread and one consumer each side — this is a point-to-point
+/// transport; register several segments on the SourceMux for several
+/// co-located daemons.
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ingest/buffer_pool.hpp"
+#include "ingest/ring_transport.hpp"
 #include "ingest/tcp_transport.hpp"  // TransportError
 #include "ingest/transport.hpp"
 #include "ingest/wire_format.hpp"
@@ -56,11 +77,16 @@
 namespace efd::ingest {
 
 inline constexpr std::uint64_t kShmMagic = 0x0031'4D48'5344'4645ull;  // "EFDSHM1\0"
-inline constexpr std::uint32_t kShmVersion = 1;
+inline constexpr std::uint32_t kShmVersion = 2;
 
-/// Control header at the start of an EFD-SHM-V1 segment. Everything the
+/// The cross-process doorbell each ring direction carries in the header.
+using ShmDoorbell = BasicDoorbell<true>;
+
+/// Control header at the start of an EFD-SHM-V2 segment. Everything the
 /// two processes share is either written once before `ready` publishes
-/// (magic/version/capacities) or an atomic.
+/// (magic/version/capacities) or an atomic. V2 appends the doorbells, so
+/// every V1 field keeps its offset (a V1 peer is still rejected at
+/// attach by the version check).
 struct ShmHeader {
   std::uint64_t magic = 0;
   std::uint32_t version = 0;
@@ -81,9 +107,15 @@ struct ShmHeader {
   /// setting consumer_closed) goes stale here, so a blocked send() can
   /// fail loudly instead of waiting on an orphan forever.
   std::atomic<std::int64_t> consumer_heartbeat_ns{0};
+  /// Rung by the emitter after publishing in_head (and on
+  /// finish_sending); the server's reader thread sleeps on it.
+  ShmDoorbell in_bell;
+  /// Rung by the server after publishing out_head;
+  /// ShmRingClient::receive sleeps on it.
+  ShmDoorbell out_bell;
 };
 static_assert(std::atomic<std::uint64_t>::is_always_lock_free,
-              "EFD-SHM-V1 requires lock-free 64-bit atomics");
+              "EFD-SHM-V2 requires lock-free 64-bit atomics");
 
 /// Maps "name" to the segment path both sides open ("/efd_<sanitized>").
 std::string shm_segment_name(const std::string& name);
@@ -117,19 +149,23 @@ class ShmRegion {
   std::uint8_t* outbound_ = nullptr;
 };
 
-/// Service side: creates the segment, decodes inbound frames, replies
-/// on the outbound ring.
+/// Service side: creates the segment; a reader thread decodes inbound
+/// frames into an internal queue the pipeline polls; replies go out on
+/// the outbound ring.
 class ShmRingServer final : public SampleSource {
  public:
   struct Config {
     std::uint32_t inbound_bytes = 1u << 20;   ///< emitter → service ring
     std::uint32_t outbound_bytes = 256u << 10; ///< service → emitter ring
-    std::size_t max_messages_per_poll = 512;
   };
+
+  /// Decoded messages the reader may queue ahead of the pipeline (the
+  /// TCP/UDP servers' default bound; samples are bounded at 64 x this).
+  static constexpr std::size_t kQueueCapacity = 4096;
 
   struct Stats {
     std::uint64_t bytes = 0;          ///< inbound bytes consumed
-    std::uint64_t frames = 0;         ///< messages decoded
+    std::uint64_t frames = 0;         ///< messages decoded and enqueued
     std::uint64_t decode_errors = 0;  ///< 0 or 1: a corrupt stream retires
     std::uint64_t producer_blocked = 0;
     std::uint64_t verdicts_dropped = 0;
@@ -139,16 +175,29 @@ class ShmRingServer final : public SampleSource {
   ShmRingServer(const std::string& name, const Config& config);
   ~ShmRingServer() override;
 
+  ShmRingServer(const ShmRingServer&) = delete;
+  ShmRingServer& operator=(const ShmRingServer&) = delete;
+
   const std::string& name() const noexcept { return name_; }
 
   bool poll(std::vector<Envelope>& out,
             std::chrono::milliseconds timeout) override;
 
+  /// The internal queue rings the mux's doorbell on every enqueue.
+  bool attach_doorbell(Doorbell* doorbell) override {
+    return queue_.attach_doorbell(doorbell);
+  }
+
   /// Marks the consumer side closed (producers error instead of
-  /// blocking forever). Idempotent; the destructor calls it.
+  /// blocking forever), closes the queue and joins the reader thread;
+  /// poll() reports exhaustion once the queue drains. Idempotent; the
+  /// destructor calls it.
   void stop();
 
   Stats stats() const;
+  /// Mux view: frames, decode errors, shed verdicts as drops, and
+  /// back-pressure on either hop (emitter on the full ring, reader on
+  /// the full queue) as blocked.
   TransportCounters transport_counters() const override;
 
   /// The server-owned sample buffer pool its decoder acquires from
@@ -158,21 +207,25 @@ class ShmRingServer final : public SampleSource {
  private:
   class ReplySink;
 
-  /// Drains available inbound bytes into the decoder; returns bytes.
-  std::size_t drain_inbound();
+  /// Reader thread: drain, decode, enqueue; sleep on in_bell when idle.
+  void reader_loop();
+  /// Moves available inbound bytes into \p decoder; returns the byte
+  /// count, or -1 when the cursors are corrupt.
+  long drain_inbound(FrameDecoder& decoder, std::vector<std::uint8_t>& scratch);
+  /// Corrupt stream or cursors (reader thread): count it, fail the
+  /// producer, and let poll() report exhaustion once the queue drains.
+  void retire();
 
   std::string name_;
-  Config config_;
   std::shared_ptr<ShmRegion> region_;
   std::shared_ptr<ReplySink> reply_;
+  RingTransport queue_;
   /// Server-local sample buffer recycling (see TcpServer::pool_).
   SampleBufferPool pool_;
-  FrameDecoder decoder_;
-  bool dead_ = false;  ///< corrupt stream: source retired
-  std::vector<std::uint8_t> scratch_;
+  std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> bytes_{0};
-  std::atomic<std::uint64_t> frames_{0};
   std::atomic<std::uint64_t> decode_errors_{0};
+  std::thread reader_;  ///< last member: starts after the rest exists
 };
 
 /// Emitter side: attaches to a server's segment; send() blocks on a

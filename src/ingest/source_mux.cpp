@@ -5,6 +5,21 @@
 
 namespace efd::ingest {
 
+namespace {
+
+/// Longest doorbell wait while some live source cannot ring: its frames
+/// are only seen by a sweep, so the mux must come back for them.
+constexpr std::chrono::milliseconds kUnringableTick{1};
+
+}  // namespace
+
+SourceMux::~SourceMux() {
+  std::lock_guard lock(mutex_);
+  for (const auto& entry : entries_) {
+    if (entry->rings) entry->source->attach_doorbell(nullptr);
+  }
+}
+
 SourceId SourceMux::add_source(std::string name, SampleSource& source) {
   std::lock_guard lock(mutex_);
   auto entry = std::make_shared<Entry>();
@@ -29,6 +44,7 @@ SourceId SourceMux::add_source(std::string name, SampleSource& source) {
   }
   entry->name = std::move(name);
   entry->source = &source;
+  entry->rings = source.attach_doorbell(&doorbell_);
   entries_.push_back(std::move(entry));
   generation_.fetch_add(1, std::memory_order_release);
   return entries_.back()->id;
@@ -39,10 +55,9 @@ std::size_t SourceMux::source_count() const {
   return entries_.size();
 }
 
-std::size_t SourceMux::poll_entry(Entry& entry, std::vector<Envelope>& out,
-                                  std::chrono::milliseconds timeout) {
+std::size_t SourceMux::poll_entry(Entry& entry, std::vector<Envelope>& out) {
   const std::size_t before = out.size();
-  const bool live = entry.source->poll(out, timeout);
+  const bool live = entry.source->poll(out, std::chrono::milliseconds(0));
   for (std::size_t i = before; i < out.size(); ++i) {
     out[i].source = entry.id;
     entry.envelopes.fetch_add(1, std::memory_order_relaxed);
@@ -55,6 +70,24 @@ std::size_t SourceMux::poll_entry(Entry& entry, std::vector<Envelope>& out,
     entry.exhausted.store(true, std::memory_order_release);
   }
   return out.size() - before;
+}
+
+SourceMux::Sweep SourceMux::sweep(const std::vector<Entry*>& entries,
+                                  std::vector<Envelope>& out) {
+  Sweep result;
+  // Rotate the starting index so a chatty low-id source cannot
+  // structurally starve the others of the "first look".
+  const std::size_t start = rotate_++;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    Entry& entry = *entries[(start + i) % entries.size()];
+    if (entry.exhausted.load(std::memory_order_acquire)) continue;
+    result.appended += poll_entry(entry, out);
+    if (!entry.exhausted.load(std::memory_order_relaxed)) {
+      result.any_live = true;
+      result.all_ring &= entry.rings;
+    }
+  }
+  return result;
 }
 
 bool SourceMux::poll(std::vector<Envelope>& out,
@@ -70,47 +103,19 @@ bool SourceMux::poll(std::vector<Envelope>& out,
   const std::vector<Entry*>& entries = cached_entries_;
   if (entries.empty()) return false;  // nothing registered: exhausted
 
-  std::vector<Entry*>& live = live_scratch_;
-  live.clear();
-  // Rotate the sweep's starting index so a chatty low-id source cannot
-  // structurally starve the others of the "first look".
-  const std::size_t start = rotate_++;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    Entry& entry = *entries[(start + i) % entries.size()];
-    if (!entry.exhausted.load(std::memory_order_acquire)) {
-      live.push_back(&entry);
-    }
-  }
-  if (live.empty()) return false;
+  // The ticket predates the sweep, so a source that enqueues (or
+  // closes) after its sweep slot rings past it and the wait below
+  // returns at once instead of sleeping through the frame.
+  const std::uint32_t ticket = doorbell_.ticket();
+  const Sweep first = sweep(entries, out);
+  if (first.appended > 0) return true;
+  if (!first.any_live) return false;  // every source retired
 
-  // Pass 1: non-blocking sweep — drain whatever is already waiting on
-  // any source.
-  std::size_t appended = 0;
-  for (Entry* entry : live) {
-    appended += poll_entry(*entry, out, std::chrono::milliseconds(0));
-  }
-  if (appended > 0) return true;
-
-  // Pass 2: nothing ready anywhere — give each still-live source an
-  // equal slice of the timeout (>= 1 ms), returning as soon as one
-  // yields. Sources later in this round get the first look next call.
-  const auto slice = std::max<std::chrono::milliseconds>(
-      std::chrono::milliseconds(1),
-      timeout / static_cast<long>(std::max<std::size_t>(live.size(), 1)));
-  bool any_live = false;
-  for (Entry* entry : live) {
-    if (entry->exhausted.load(std::memory_order_acquire)) continue;
-    appended += poll_entry(*entry, out, slice);
-    any_live |= !entry->exhausted.load(std::memory_order_acquire);
-    if (appended > 0) return true;
-  }
-  if (any_live) return true;
-  // Everything retired this round; report exhaustion only when no
-  // registered source can ever produce again.
-  for (const auto& entry : entries) {
-    if (!entry->exhausted.load(std::memory_order_acquire)) return true;
-  }
-  return false;
+  // Nothing ready anywhere: one wait serves every source.
+  doorbell_.wait(ticket, first.all_ring ? timeout
+                                        : std::min(timeout, kUnringableTick));
+  const Sweep second = sweep(entries, out);
+  return second.appended > 0 || second.any_live;
 }
 
 void SourceMux::note_verdict(SourceId id) {

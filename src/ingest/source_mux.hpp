@@ -12,15 +12,21 @@
 /// source they arrived on — so verdict routing, traffic capture, and the
 /// stats scrape all stay per-source after the merge.
 ///
-/// Poll discipline (one consumer — the pipeline):
-///  1. A non-blocking sweep over every live source, starting at a
-///     rotating index so no source is structurally favored. Anything
-///     ready is tagged and returned immediately.
-///  2. Only if nothing was ready anywhere, each live source in turn is
-///     polled with an equal slice of the remaining timeout (>= 1 ms), so
-///     the worst-case idle latency stays bounded by the caller's
-///     timeout while a message on ANY source wakes the loop within one
-///     slice.
+/// Poll discipline (one consumer — the pipeline): every source that
+/// can ring is handed the mux's Doorbell at registration and rings it
+/// whenever it enqueues a message or closes. A poll then
+///  1. takes a doorbell ticket,
+///  2. sweeps every live source at timeout 0, starting at a rotating
+///     index so no source is structurally favored, and returns at once
+///     if anything was ready,
+///  3. otherwise waits once on the doorbell for the caller's whole
+///     timeout — any ring since the ticket, on ANY source, ends the wait
+///     — and sweeps again.
+/// A frame therefore wakes the mux within one futex wake-up whichever
+/// source it lands on. A source that cannot ring (attach_doorbell
+/// returns false, e.g. a decorator that does not forward it) is still
+/// swept every poll; while one is live, the wait is cut to a 1 ms tick
+/// so its frames wait at most that long.
 ///
 /// Exhaustion is collective: a source whose poll() returns false is
 /// retired (its final batch is still delivered), and the mux reports
@@ -71,6 +77,9 @@ struct SourceMuxStats {
 class SourceMux final : public SampleSource {
  public:
   SourceMux() = default;
+  /// Detaches the doorbell from every source (sources outlive the mux,
+  /// and their producers may still be running).
+  ~SourceMux() override;
 
   SourceMux(const SourceMux&) = delete;
   SourceMux& operator=(const SourceMux&) = delete;
@@ -80,7 +89,8 @@ class SourceMux final : public SampleSource {
   /// disambiguated deterministically ("name#<id>"), so duplicate
   /// registrations (e.g. `--listen tcp:0` twice) cannot make cursor
   /// restore misattribute one source's history to another. Returns the
-  /// dense id. \p source is borrowed and must outlive the mux.
+  /// dense id. \p source is borrowed and must outlive the mux; it is
+  /// offered the mux's doorbell (SampleSource::attach_doorbell).
   SourceId add_source(std::string name, SampleSource& source);
 
   std::size_t source_count() const;
@@ -117,13 +127,22 @@ class SourceMux final : public SampleSource {
     std::atomic<std::uint64_t> verdicts{0};
     std::atomic<std::uint64_t> restored_cursor{0};
     std::atomic<bool> exhausted{false};
+    bool rings = false;  ///< accepted the doorbell (fixed at registration)
   };
 
-  /// Polls one entry, tags + counts its envelopes, retires it on
-  /// exhaustion. Returns the number of envelopes appended.
-  std::size_t poll_entry(Entry& entry, std::vector<Envelope>& out,
-                         std::chrono::milliseconds timeout);
+  /// Non-blocking poll of one entry: tags + counts its envelopes,
+  /// retires it on exhaustion. Returns the number of envelopes appended.
+  std::size_t poll_entry(Entry& entry, std::vector<Envelope>& out);
 
+  /// Outcome of one timeout-0 pass over every live entry.
+  struct Sweep {
+    std::size_t appended = 0;
+    bool any_live = false;  ///< some entry is still live after the pass
+    bool all_ring = true;   ///< every still-live entry rings the doorbell
+  };
+  Sweep sweep(const std::vector<Entry*>& entries, std::vector<Envelope>& out);
+
+  Doorbell doorbell_;  ///< rung by every attached source
   mutable std::mutex mutex_;  ///< guards entries_ growth
   std::vector<std::shared_ptr<Entry>> entries_;
   std::atomic<std::uint64_t> generation_{0};  ///< bumped per registration
@@ -135,8 +154,7 @@ class SourceMux final : public SampleSource {
   // loop pays no per-call allocation or refcount traffic.
   std::vector<Entry*> cached_entries_;
   std::uint64_t cached_generation_ = 0;
-  std::vector<Entry*> live_scratch_;
-  std::size_t rotate_ = 0;  ///< poll fairness cursor (consumer thread)
+  std::size_t rotate_ = 0;  ///< sweep fairness cursor (consumer thread)
 };
 
 }  // namespace efd::ingest

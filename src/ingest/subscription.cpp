@@ -79,7 +79,6 @@ void SubscriptionHub::dispatch_loop() {
   struct Delivery {
     std::shared_ptr<VerdictSink> sink;
     std::vector<Message> events;
-    Subscriber* subscriber = nullptr;
   };
 
   std::unique_lock<std::mutex> lock(mutex_);
@@ -95,7 +94,9 @@ void SubscriptionHub::dispatch_loop() {
 
     // Swap every pending queue out under the lock, then deliver with the
     // lock released — sink writes may block (TCP send timeout) and must
-    // not stall publish().
+    // not stall publish(). Events count as delivered when taken off the
+    // queue, under the lock, so a stats() scrape never shows fewer
+    // delivered than the sink may already hold.
     std::vector<Delivery> deliveries;
     for (auto& subscriber : subscribers_) {
       if (subscriber->queue.empty()) continue;
@@ -111,7 +112,7 @@ void SubscriptionHub::dispatch_loop() {
           std::make_move_iterator(subscriber->queue.begin()),
           std::make_move_iterator(subscriber->queue.end()));
       subscriber->queue.clear();
-      delivery.subscriber = subscriber.get();
+      subscriber->delivered += delivery.events.size();
       deliveries.push_back(std::move(delivery));
     }
     std::erase_if(subscribers_,
@@ -126,11 +127,6 @@ void SubscriptionHub::dispatch_loop() {
           std::span<const Message>(delivery.events));
     }
     lock.lock();
-    // `subscriber` pointers stay valid across the unlock: erase_if above
-    // ran before release, and subscribe() only appends unique_ptrs.
-    for (const Delivery& delivery : deliveries) {
-      delivery.subscriber->delivered += delivery.events.size();
-    }
   }
 }
 

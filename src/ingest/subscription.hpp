@@ -33,7 +33,7 @@ class SubscriptionHub {
 
   struct SubscriberStats {
     std::uint64_t id = 0;
-    std::uint64_t delivered = 0;  ///< events handed to the sink
+    std::uint64_t delivered = 0;  ///< events taken off the queue for the sink
     std::uint64_t dropped = 0;    ///< events shed on a full queue
     std::uint64_t queued = 0;     ///< current queue depth
   };

@@ -77,6 +77,11 @@ class TcpServer final : public SampleSource {
   bool poll(std::vector<Envelope>& out,
             std::chrono::milliseconds timeout) override;
 
+  /// The internal queue rings the mux's doorbell on every enqueue.
+  bool attach_doorbell(Doorbell* doorbell) override {
+    return queue_.attach_doorbell(doorbell);
+  }
+
   /// Closes the listener and every connection, joins all threads.
   /// Idempotent; poll() reports exhaustion once the queue drains.
   void stop();

@@ -12,8 +12,10 @@
 /// interfaces here — plus SourceMux (source_mux.hpp), which fans any
 /// number of registered sources into one polled stream with per-source
 /// accounting — so new transports (RDMA, ...) slot in without touching
-/// recognition code.
+/// recognition code. The Doorbell below is the one wake-up signal every
+/// source rings, so the mux waits on all of them at once.
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -44,6 +46,62 @@ class VerdictSink {
     for (const Message& verdict : verdicts) deliver(verdict);
   }
 };
+
+/// futex(2) wait: sleeps while \p word holds \p expected, up to \p timeout
+/// (spurious and early returns are allowed; callers re-check). \p shared
+/// selects a word in a MAP_SHARED segment that another process wakes.
+void futex_wait(std::atomic<std::uint32_t>& word, std::uint32_t expected,
+                std::chrono::nanoseconds timeout, bool shared) noexcept;
+
+/// futex(2) wake of every thread sleeping on \p word.
+void futex_wake_all(std::atomic<std::uint32_t>& word, bool shared) noexcept;
+
+/// An eventcount on one futex word. A consumer takes ticket(), re-checks
+/// whatever it waits for, then wait(ticket, timeout): the wait returns
+/// as soon as any ring() since the ticket moved the count, so a ring
+/// between the check and the sleep is never lost. Producers ring() after
+/// publishing work; the waiter count lets ring() skip the FUTEX_WAKE
+/// syscall while nobody sleeps — the common case while the consumer is
+/// busy draining. Standard layout and address-free, so the cross-process
+/// flavor (kShared = true) can live inside a shared-memory segment
+/// (EFD-SHM-V2's header carries one per ring direction).
+template <bool kShared>
+class BasicDoorbell {
+ public:
+  std::uint32_t ticket() const noexcept {
+    return count_.load(std::memory_order_seq_cst);
+  }
+
+  void ring() noexcept {
+    count_.fetch_add(1, std::memory_order_seq_cst);
+    if (has_waiters()) futex_wake_all(count_, kShared);
+  }
+
+  /// True while some thread sleeps (or is about to) in wait().
+  bool has_waiters() const noexcept {
+    return waiters_.load(std::memory_order_seq_cst) != 0;
+  }
+
+  /// Sleeps until the count moves past \p ticket or \p timeout passes.
+  void wait(std::uint32_t ticket, std::chrono::nanoseconds timeout) noexcept {
+    if (timeout <= std::chrono::nanoseconds::zero()) return;
+    // Announce before the last check: either ring() sees the waiter and
+    // wakes, or this load sees its count — the futex word re-checks the
+    // same value in the kernel.
+    waiters_.fetch_add(1, std::memory_order_seq_cst);
+    if (count_.load(std::memory_order_seq_cst) == ticket) {
+      futex_wait(count_, ticket, timeout, kShared);
+    }
+    waiters_.fetch_sub(1, std::memory_order_seq_cst);
+  }
+
+ private:
+  std::atomic<std::uint32_t> count_{0};
+  std::atomic<std::uint32_t> waiters_{0};
+};
+
+/// The in-process doorbell a SourceMux hands its sources.
+using Doorbell = BasicDoorbell<false>;
 
 class SampleBufferPool;
 
@@ -90,6 +148,14 @@ class SampleSource {
   /// an empty \p out is a normal timeout.
   virtual bool poll(std::vector<Envelope>& out,
                     std::chrono::milliseconds timeout) = 0;
+
+  /// Asks the source to ring \p doorbell whenever it enqueues a message
+  /// or closes, from then on (nullptr detaches; once this returns, the
+  /// source never touches the old doorbell again). Returns false when
+  /// the source cannot ring — the default, kept for wrappers that do
+  /// not forward it — and the mux then falls back to a short wait tick
+  /// while that source is live.
+  virtual bool attach_doorbell(Doorbell* /*doorbell*/) { return false; }
 
   /// Transport-level loss/back-pressure counters (see TransportCounters).
   /// Safe from any thread; default is all-zero.

@@ -272,10 +272,10 @@ void UdpServer::handle_datagram(const sockaddr_in& peer,
 
   // Lossy discipline end-to-end: a full internal queue sheds the
   // datagram visibly instead of stalling the receiver into opaque
-  // kernel-buffer drops.
-  if (queue_.try_send_with_reply(std::move(message), state.sink)) {
-    frames_.fetch_add(1, std::memory_order_relaxed);
-  } else {
+  // kernel-buffer drops. Accepted frames are counted by the queue
+  // itself, under its lock, so stats() is never behind an enqueue a
+  // poll already observed.
+  if (!queue_.try_send_with_reply(std::move(message), state.sink)) {
     queue_drops_.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -326,7 +326,7 @@ void UdpServer::stop() {
 UdpServer::Stats UdpServer::stats() const {
   Stats stats;
   stats.datagrams = datagrams_.load(std::memory_order_relaxed);
-  stats.frames = frames_.load(std::memory_order_relaxed);
+  stats.frames = queue_.transport_counters().frames;
   stats.decode_errors = decode_errors_.load(std::memory_order_relaxed);
   stats.gaps = gaps_.load(std::memory_order_relaxed);
   stats.duplicates = duplicates_.load(std::memory_order_relaxed);

@@ -126,6 +126,11 @@ class UdpServer final : public SampleSource {
   bool poll(std::vector<Envelope>& out,
             std::chrono::milliseconds timeout) override;
 
+  /// The internal queue rings the mux's doorbell on every enqueue.
+  bool attach_doorbell(Doorbell* doorbell) override {
+    return queue_.attach_doorbell(doorbell);
+  }
+
   /// Closes the socket and joins the receiver; poll() reports
   /// exhaustion once the queue drains. Idempotent.
   void stop();
@@ -182,7 +187,6 @@ class UdpServer final : public SampleSource {
   std::size_t peers_sweep_at_ = 64;
 
   std::atomic<std::uint64_t> datagrams_{0};
-  std::atomic<std::uint64_t> frames_{0};
   std::atomic<std::uint64_t> decode_errors_{0};
   std::atomic<std::uint64_t> gaps_{0};
   std::atomic<std::uint64_t> duplicates_{0};

@@ -9,6 +9,11 @@
 /// bounded storage of its in-process transport (ingest/ring_transport.hpp),
 /// consuming via pop_front instead of letting push evict.
 ///
+/// Storage is lazy: slots are appended as pushes first reach them (until
+/// the ring wraps), and an emptied ring restarts at slot 0, so memory
+/// tracks peak occupancy rather than capacity — a 4096-slot transport
+/// queue that never holds more than a few messages costs a few slots.
+///
 /// Not internally synchronized; wrap in external locking for concurrent
 /// use.
 
@@ -23,8 +28,7 @@ template <typename T>
 class RingBuffer {
  public:
   /// \param capacity maximum retained elements; must be > 0.
-  explicit RingBuffer(std::size_t capacity)
-      : storage_(capacity), capacity_(capacity) {
+  explicit RingBuffer(std::size_t capacity) : capacity_(capacity) {
     if (capacity == 0) throw std::invalid_argument("RingBuffer capacity must be > 0");
   }
 
@@ -39,7 +43,13 @@ class RingBuffer {
   /// Appends, evicting the oldest element when full. By-value so one
   /// body serves both copy and move callers.
   void push(T value) {
-    storage_[head_] = std::move(value);
+    // Until the ring first wraps, head_ only ever reaches the end of
+    // storage_ (never beyond), so growing there keeps every index valid.
+    if (head_ == storage_.size()) {
+      storage_.push_back(std::move(value));
+    } else {
+      storage_[head_] = std::move(value);
+    }
     head_ = (head_ + 1) % capacity_;
     if (size_ < capacity_) ++size_;
     ++pushed_;
@@ -52,7 +62,9 @@ class RingBuffer {
     if (size_ == 0) return false;
     const std::size_t oldest = (head_ + capacity_ - size_) % capacity_;
     out = std::move(storage_[oldest]);
-    --size_;
+    // Emptied: restart at slot 0 so the next pushes reuse the slots
+    // already built instead of growing storage toward capacity.
+    if (--size_ == 0) head_ = 0;
     return true;
   }
 

@@ -1,7 +1,8 @@
 /// \file test_ring_buffer.cpp
 /// \brief Unit tests for ldms::RingBuffer: capacity handling, overflow
-/// eviction, wrap-around indexing, queue-style pop_front consumption, and
-/// the pushed() stream-position counter.
+/// eviction, wrap-around indexing, queue-style pop_front consumption,
+/// the pushed() stream-position counter, and lazy storage (slots built
+/// as occupancy first reaches them, never up front).
 
 #include "ldms/ring_buffer.hpp"
 
@@ -13,6 +14,19 @@
 namespace {
 
 using efd::ldms::RingBuffer;
+
+/// Counts live instances, so a test can see how many slots a ring built.
+struct Counted {
+  static inline long live = 0;
+  int value = 0;
+
+  explicit Counted(int v = 0) : value(v) { ++live; }
+  Counted(const Counted& other) : value(other.value) { ++live; }
+  Counted(Counted&& other) noexcept : value(other.value) { ++live; }
+  Counted& operator=(const Counted&) = default;
+  Counted& operator=(Counted&&) noexcept = default;
+  ~Counted() { --live; }
+};
 
 TEST(RingBuffer, RejectsZeroCapacity) {
   EXPECT_THROW(RingBuffer<int>(0), std::invalid_argument);
@@ -89,8 +103,8 @@ TEST(RingBuffer, InterleavedPushPopWrapsCorrectly) {
   RingBuffer<int> ring(3);
   int out = -1;
   int next = 0;
-  // Drive the head all the way around the storage several times with a
-  // mixed push/pop pattern; FIFO order must hold throughout.
+  // A mixed push/pop pattern that empties the ring every round (the
+  // head restarts at slot 0); FIFO order must hold throughout.
   int expected = 0;
   for (int round = 0; round < 10; ++round) {
     ring.push(next++);
@@ -115,6 +129,53 @@ TEST(RingBuffer, PopAfterOverflowSkipsEvictedElements) {
   ASSERT_TRUE(ring.pop_front(out));
   EXPECT_EQ(out, 3);
   EXPECT_FALSE(ring.pop_front(out));
+}
+
+TEST(RingBuffer, LazyGrowthWrapsWithoutLosingOrder) {
+  RingBuffer<int> ring(4);
+  int out = -1;
+  ring.push(0);
+  ring.push(1);
+  ASSERT_TRUE(ring.pop_front(out));  // slot 0 freed; the ring is not empty
+  EXPECT_EQ(out, 0);
+  ring.push(2);
+  ring.push(3);  // storage grows to all 4 slots; the head wraps to 0
+  ring.push(4);  // reuses slot 0
+  EXPECT_TRUE(ring.full());
+  EXPECT_EQ(ring.snapshot(), (std::vector<int>{1, 2, 3, 4}));
+  ring.push(5);  // evicts 1
+  EXPECT_EQ(ring.snapshot(), (std::vector<int>{2, 3, 4, 5}));
+  for (int expected = 2; expected <= 5; ++expected) {
+    ASSERT_TRUE(ring.pop_front(out));
+    EXPECT_EQ(out, expected);
+  }
+  EXPECT_TRUE(ring.empty());
+}
+
+TEST(RingBuffer, StorageTracksPeakOccupancyNotCapacity) {
+  ASSERT_EQ(Counted::live, 0);
+  {
+    RingBuffer<Counted> ring(1u << 20);
+    EXPECT_EQ(Counted::live, 0);  // nothing is built up front
+
+    Counted out;
+    int expected = 0;
+    int out_of_order = 0;
+    for (int cycle = 0; cycle < 1'000'000; ++cycle) {
+      ring.push(Counted(2 * cycle));
+      ring.push(Counted(2 * cycle + 1));
+      for (int i = 0; i < 2; ++i) {
+        if (!ring.pop_front(out) || out.value != expected) ++out_of_order;
+        ++expected;
+      }
+    }
+    EXPECT_EQ(out_of_order, 0);
+    EXPECT_TRUE(ring.empty());
+    // Occupancy never exceeded 2, so neither did the slots: every live
+    // instance but `out` is ring storage.
+    EXPECT_LE(Counted::live - 1, 2);
+  }
+  EXPECT_EQ(Counted::live, 0);
 }
 
 TEST(RingBuffer, ClearResetsRetainedWindowAndStreamPosition) {

@@ -1,12 +1,15 @@
 /// \file test_source_mux.cpp
 /// \brief Multi-source ingestion tests: SourceMux fan-in semantics
 /// (tagging, fairness, collective exhaustion, per-source counters,
-/// cursor seeding), the UDP transport's lossy-tolerant sequencing
+/// cursor seeding), the doorbell every source rings (a frame or a close
+/// on any source ends the mux's one wait; a source that cannot ring is
+/// still polled), the UDP transport's lossy-tolerant sequencing
 /// (gaps/duplicates counted, never fatal), the cross-process-shaped
-/// shared-memory ring, and the acceptance gate — the same workload
-/// split across TCP+UDP+shm sources of one pipeline must produce the
-/// verdict table of a single-source run. The concurrent mixed-transport
-/// parity case is the TSan target.
+/// shared-memory ring and its futex wake-ups, and the acceptance gate —
+/// the same workload split across TCP+UDP+shm sources of one pipeline
+/// must produce the verdict table of a single-source run. The wake-up
+/// tests are event-synchronised (no sleeps), and the concurrent
+/// mixed-transport parity case is the TSan target.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +19,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <future>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -36,6 +40,42 @@ using namespace efd::ingest;
 using core::RecognitionService;
 using core::RecognitionServiceConfig;
 using core::ShardedDictionary;
+using namespace std::chrono_literals;
+using Clock = std::chrono::steady_clock;
+
+/// Wraps a source and fulfils polled() on its first poll, so a test can
+/// act while the mux's poll is in flight without sleeping. Forwards the
+/// doorbell only when \p rings — otherwise it is a source that cannot
+/// ring (like a decorator that does not forward attach_doorbell).
+class FirstPollSignal final : public SampleSource {
+ public:
+  FirstPollSignal(SampleSource& inner, bool rings)
+      : inner_(inner), rings_(rings) {}
+
+  bool poll(std::vector<Envelope>& out,
+            std::chrono::milliseconds timeout) override {
+    std::call_once(first_poll_, [this] { polled_.set_value(); });
+    return inner_.poll(out, timeout);
+  }
+
+  bool attach_doorbell(Doorbell* doorbell) override {
+    return rings_ && inner_.attach_doorbell(doorbell);
+  }
+
+  std::future<void> polled() { return polled_.get_future(); }
+
+ private:
+  SampleSource& inner_;
+  bool rings_;
+  std::once_flag first_poll_;
+  std::promise<void> polled_;
+};
+
+/// Spins (yielding) until some thread sleeps on \p bell.
+template <typename Bell>
+void await_sleeper(const Bell& bell) {
+  while (!bell.has_waiters()) std::this_thread::yield();
+}
 
 /// Thread-safe verdict collector usable as a transport's reply channel.
 class VerdictCollector final : public VerdictSink {
@@ -196,6 +236,133 @@ TEST(SourceMux, NoteVerdictCreditsTheRightSource) {
   b.close();
 }
 
+// --- the doorbell ------------------------------------------------------
+
+TEST(Doorbell, RingBetweenTicketAndWaitIsNeverLost) {
+  Doorbell bell;
+  const std::uint32_t ticket = bell.ticket();
+  bell.ring();  // lands after the ticket, before the wait
+  const auto start = Clock::now();
+  bell.wait(ticket, 10s);  // must return at once
+  EXPECT_LT(Clock::now() - start, 2s);
+  EXPECT_FALSE(bell.has_waiters());
+}
+
+TEST(Doorbell, RingFromAnotherThreadEndsAWait) {
+  Doorbell bell;
+  const std::uint32_t ticket = bell.ticket();
+  std::thread ringer([&] {
+    await_sleeper(bell);
+    bell.ring();
+  });
+  const auto start = Clock::now();
+  bell.wait(ticket, 10s);
+  ringer.join();
+  EXPECT_LT(Clock::now() - start, 2s);
+  EXPECT_FALSE(bell.has_waiters());
+}
+
+TEST(SourceMux, FrameOnAnySourceEndsTheWait) {
+  // The frame lands on b while the poll is in flight (a's first poll
+  // releases the sender). One wait covers both sources, so the poll
+  // returns it long before its 10 s timeout; a mux that waited on one
+  // source at a time would sit out a's 5 s share first.
+  RingTransport a(16), b(16);
+  FirstPollSignal watched_a(a, /*rings=*/true);
+  SourceMux mux;
+  mux.add_source("a", watched_a);
+  const SourceId id_b = mux.add_source("b", b);
+  std::future<void> polled = watched_a.polled();
+  std::thread sender([&] {
+    polled.wait();
+    b.send(make_open_job(7, 1));
+  });
+
+  std::vector<Envelope> batch;
+  const auto start = Clock::now();
+  EXPECT_TRUE(mux.poll(batch, 10s));
+  const auto elapsed = Clock::now() - start;
+  sender.join();
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].source, id_b);
+  EXPECT_EQ(batch[0].message.job_id, 7u);
+  EXPECT_LT(elapsed, 2s);
+  a.close();
+  b.close();
+}
+
+TEST(SourceMux, ClosingEverySourceWakesAWaitingPoll) {
+  RingTransport a(4), b(4);
+  FirstPollSignal watched_a(a, /*rings=*/true);
+  SourceMux mux;
+  mux.add_source("a", watched_a);
+  mux.add_source("b", b);
+  std::future<void> polled = watched_a.polled();
+  std::thread closer([&] {
+    polled.wait();
+    a.close();
+    b.close();
+  });
+
+  // Each close rings: the polls return promptly (a retiring alone may
+  // cost one live-but-empty return) and end with exhaustion.
+  std::vector<Envelope> batch;
+  const auto start = Clock::now();
+  bool live = true;
+  for (int i = 0; i < 3 && live; ++i) live = mux.poll(batch, 10s);
+  const auto elapsed = Clock::now() - start;
+  closer.join();
+  EXPECT_FALSE(live);
+  EXPECT_TRUE(batch.empty());
+  EXPECT_LT(elapsed, 2s);
+}
+
+TEST(SourceMux, SourceThatCannotRingIsStillPolled) {
+  // `hidden` never rings the mux (its wrapper does not forward the
+  // doorbell), so only a sweep finds its frame: the mux must cut its
+  // wait to a short tick while such a source is live, not sleep out the
+  // caller's 10 s.
+  RingTransport plain(16), hidden(16);
+  FirstPollSignal unringable(hidden, /*rings=*/false);
+  SourceMux mux;
+  mux.add_source("plain", plain);
+  const SourceId id_hidden = mux.add_source("hidden", unringable);
+  std::future<void> polled = unringable.polled();
+  std::thread sender([&] {
+    polled.wait();
+    hidden.send(make_open_job(9, 1));
+  });
+
+  std::vector<Envelope> batch;
+  const auto start = Clock::now();
+  while (batch.empty() && Clock::now() - start < 2s) {
+    ASSERT_TRUE(mux.poll(batch, 10s));
+  }
+  const auto elapsed = Clock::now() - start;
+  sender.join();
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].source, id_hidden);
+  EXPECT_LT(elapsed, 2s);
+  plain.close();
+  hidden.close();
+}
+
+TEST(SourceMux, DestroyedMuxIsDetachedFromItsSources) {
+  // Sources outlive the mux, and their producers may keep sending: the
+  // mux's destructor must detach its doorbell, or the next enqueue
+  // rings freed memory (caught under ASan).
+  RingTransport ring(4);
+  {
+    SourceMux mux;
+    mux.add_source("ring", ring);
+  }
+  ring.send(make_open_job(1, 1));
+  std::vector<Envelope> drained;
+  EXPECT_TRUE(ring.poll(drained, 0ms));
+  EXPECT_EQ(drained.size(), 1u);
+  ring.close();
+}
+
 TEST_F(SourceMuxFixture, ServiceShowsEverySourceTagEvenWhenOneIsIdle) {
   // Two listeners, traffic only on the first: the service must still
   // report both tags (the idle one all-zero) — a quiet listener is a
@@ -253,21 +420,22 @@ TEST(UdpTransport, CountsGapsDuplicatesAndDecodeErrorsWithoutDying) {
   blast(3, make_open_job(9, 1)); // reordered behind delivery: dropped
   const std::uint8_t garbage[] = {0xDE, 0xAD, 0xBE, 0xEF, 0x01};
   ASSERT_GT(::send(fd, garbage, sizeof(garbage), 0), 0);
+  // A valid sentinel last: once it is drained, the single receiver
+  // thread has handled every datagram before it.
+  blast(6, make_close_job(2));
 
   // The in-order + gapped messages arrive; the rest is counted.
   std::vector<Envelope> drained;
-  for (int i = 0; i < 100 && drained.size() < 3; ++i) {
+  for (int i = 0; i < 100 && drained.size() < 4; ++i) {
     server.poll(drained, std::chrono::milliseconds(20));
   }
-  ASSERT_EQ(drained.size(), 3u);
+  ASSERT_EQ(drained.size(), 4u);
   EXPECT_EQ(drained[0].message.type, MessageType::kOpenJob);
   EXPECT_EQ(drained[2].message.job_id, 2u);
+  EXPECT_EQ(drained[3].message.type, MessageType::kCloseJob);
 
-  for (int i = 0; i < 100 && server.stats().decode_errors == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
   const UdpServer::Stats stats = server.stats();
-  EXPECT_EQ(stats.frames, 3u);
+  EXPECT_EQ(stats.frames, 4u);
   EXPECT_EQ(stats.gaps, 2u);
   EXPECT_EQ(stats.duplicates, 2u);  // exact dup + the reordered seq 3
   EXPECT_EQ(stats.decode_errors, 1u);
@@ -321,11 +489,7 @@ TEST(UdpTransport, PeerTtlStartsAFreshSessionAfterSilence) {
   }
   ASSERT_EQ(drained.size(), 1u);
   EXPECT_EQ(drained[0].message.job_id, 2u);
-  // The frames counter lands just after the enqueue the drain observed:
-  // give the receiver thread its turn before reading.
-  for (int i = 0; i < 100 && server.stats().frames < 3; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
+  // Frames are counted at enqueue, so the drain above implies the count.
   const UdpServer::Stats stats = server.stats();
   EXPECT_EQ(stats.frames, 3u);
   EXPECT_EQ(stats.duplicates, 0u);
@@ -448,11 +612,13 @@ TEST(ShmTransport, CorruptStreamRetiresTheSourceNotTheProcess) {
     hostile.inbound()[(head + i) % header.inbound_capacity] = garbage[i];
   }
   header.in_head.store(head + sizeof(garbage), std::memory_order_release);
+  header.in_bell.ring();
 
-  // The source retires (like a dropped TCP connection) instead of
-  // crashing or spinning; the error is counted once.
+  // The reader thread retires the source (like a dropped TCP
+  // connection) instead of crashing or spinning; the error is counted
+  // once, and poll() reports exhaustion as soon as it happened.
   std::vector<Envelope> drained;
-  EXPECT_FALSE(server.poll(drained, std::chrono::milliseconds(200)));
+  EXPECT_FALSE(server.poll(drained, 10s));
   EXPECT_TRUE(drained.empty());
   EXPECT_EQ(server.stats().decode_errors, 1u);
 
@@ -472,8 +638,9 @@ TEST(ShmTransport, HostileCursorRetiresTheSourceWithoutAllocating) {
   header.in_head.store(
       header.in_tail.load(std::memory_order_relaxed) + (1ull << 40),
       std::memory_order_release);
+  header.in_bell.ring();
   std::vector<Envelope> drained;
-  EXPECT_FALSE(server.poll(drained, std::chrono::milliseconds(100)));
+  EXPECT_FALSE(server.poll(drained, 10s));  // retired by the reader thread
   EXPECT_TRUE(drained.empty());
   EXPECT_EQ(server.stats().decode_errors, 1u);
 }
@@ -487,13 +654,88 @@ TEST(ShmTransport, SecondServerRefusesToHijackALiveSegment) {
   ShmRingClient client("mux_hijack_ring");
   client.send(make_open_job(1, 1));
   std::vector<Envelope> drained;
-  EXPECT_TRUE(live.poll(drained, std::chrono::milliseconds(200)));
+  EXPECT_TRUE(live.poll(drained, 10s));
   ASSERT_EQ(drained.size(), 1u);
 }
 
 TEST(ShmTransport, AttachToMissingSegmentTimesOut) {
   EXPECT_THROW(ShmRingClient("definitely_not_created", /*attach_timeout_ms=*/50),
                TransportError);
+}
+
+TEST(ShmTransport, ServerReaderWakesOnAClientSend) {
+  ShmRingServer server("mux_wake_ring");
+  ShmRegion view("mux_wake_ring", /*create=*/false, 0, 0);
+  ShmRingClient client("mux_wake_ring");
+  // Every round sends only once the reader sleeps on the segment's
+  // doorbell, so only the client's ring can wake it in time: a reader
+  // that slept out its idle period would need 20 x 100 ms.
+  constexpr int kRounds = 20;
+  const auto start = Clock::now();
+  for (int round = 1; round <= kRounds; ++round) {
+    await_sleeper(view.header().in_bell);
+    client.send(make_open_job(static_cast<std::uint64_t>(round), 1));
+    std::vector<Envelope> drained;
+    ASSERT_TRUE(server.poll(drained, 10s));
+    ASSERT_EQ(drained.size(), 1u);
+    EXPECT_EQ(drained[0].message.job_id, static_cast<std::uint64_t>(round));
+  }
+  EXPECT_LT(Clock::now() - start, 1s);
+}
+
+TEST(ShmTransport, ClientReceiveWakesOnAVerdict) {
+  ShmRingServer server("mux_verdict_ring");
+  ShmRegion view("mux_verdict_ring", /*create=*/false, 0, 0);
+  ShmRingClient client("mux_verdict_ring");
+  client.send(make_open_job(1, 1));
+  std::vector<Envelope> drained;
+  ASSERT_TRUE(server.poll(drained, 10s));
+  ASSERT_EQ(drained.size(), 1u);
+  ASSERT_NE(drained[0].reply, nullptr);
+
+  Message received;
+  bool got = false;
+  std::thread receiver([&] { got = client.receive(received, 10s); });
+  await_sleeper(view.header().out_bell);  // receive() sleeps on the futex
+  Message verdict;
+  verdict.type = MessageType::kVerdict;
+  verdict.job_id = 1;
+  verdict.verdict = WireVerdict{true, 3, 4, "ft", "ft_X"};
+  const auto start = Clock::now();
+  drained[0].reply->deliver(verdict);
+  receiver.join();
+  EXPECT_LT(Clock::now() - start, 2s);
+  ASSERT_TRUE(got);
+  EXPECT_EQ(received, verdict);
+}
+
+TEST(ShmTransport, ReaderExitsOnStopAndOnDestructionWhileBlocked) {
+  {
+    // Asleep on the segment's doorbell: stop() wakes and joins it, and
+    // the drained source then reports exhaustion.
+    ShmRingServer server("mux_stop_ring");
+    ShmRegion view("mux_stop_ring", /*create=*/false, 0, 0);
+    await_sleeper(view.header().in_bell);
+    server.stop();
+    std::vector<Envelope> drained;
+    EXPECT_FALSE(server.poll(drained, 10s));
+  }
+  {
+    // Parked on a full queue (back-pressure): the destructor closes the
+    // queue under it and joins.
+    auto server = std::make_unique<ShmRingServer>("mux_full_ring");
+    ShmRingClient client("mux_full_ring");
+    constexpr std::uint64_t kFrames = ShmRingServer::kQueueCapacity + 2;
+    for (std::uint64_t job = 1; job <= kFrames; ++job) {
+      client.send(make_open_job(job, 1));
+    }
+    // The queue is full and the reader parked on the next message.
+    while (server->transport_counters().blocked == 0) {
+      std::this_thread::yield();
+    }
+    EXPECT_EQ(server->stats().frames, ShmRingServer::kQueueCapacity);
+    server.reset();  // hangs here if the reader cannot be woken
+  }
 }
 
 // --- mixed-transport parity (the acceptance gate, in-process) ----------

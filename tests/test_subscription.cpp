@@ -149,6 +149,9 @@ TEST(Subscription, SlowConsumerShedsLoadWithoutBlockingPublish) {
     drained = stats_for(hub, slow_id);
   }
   EXPECT_EQ(drained.delivered + drained.dropped, kEvents);
+  // delivered counts events as they leave the queue; the sink records
+  // them a moment later, inside deliver_many.
+  ASSERT_TRUE(slow->wait_for_events(drained.delivered));
   EXPECT_EQ(drained.delivered, slow->events().size());
 }
 
